@@ -1,27 +1,21 @@
 //! Fast lookup structures over a dataset, plus the deterministic pairwise
 //! comparison layer every figure shares.
 //!
-//! Two execution paths coexist, selected by [`AnalysisOptions`]:
-//!
-//! * **Serial** ([`geoserp_pool::Workers::Serial`], or plain
-//!   [`ObsIndex::new`]) — the
-//!   legacy reference path: every figure recomputes its own comparisons
-//!   from URL strings, exactly as before the pool existed.
-//! * **Pooled** (`Auto` / `Fixed(n)`) — [`ObsIndex::with_options`]
-//!   enumerates every (treatment, control) and (treatment, treatment)
-//!   comparison the figures will need, computes each one **once** over
-//!   interned [`UrlId`]s via [`DetPool::map_indexed`], and caches the
-//!   [`PairStat`]s. Figures then look comparisons up instead of recomputing
-//!   them. Because URL interning is a bijection (equal string ⇔ equal id),
-//!   id-based Jaccard/edit/attribution values are identical to the
-//!   string-based ones — so reports are byte-identical across paths and
-//!   across every worker count.
+//! Building an [`ObsIndex`] enumerates every (treatment, control) and
+//! (treatment, treatment) comparison the figures will need, computes each
+//! one **once** over interned [`UrlId`]s via [`DetPool::map_indexed`], and
+//! caches the [`PairStat`]s. Figures then look comparisons up instead of
+//! recomputing them. Because URL interning is a bijection (equal string ⇔
+//! equal id), the id-based Jaccard/edit/attribution values equal the
+//! string-based `geoserp_metrics` kernels (asserted pair by pair in
+//! `tests/paper_figures.rs`), and reports are byte-identical across every
+//! worker count.
 
 use crate::options::AnalysisOptions;
 use geoserp_corpus::QueryCategory;
 use geoserp_crawler::{Dataset, Observation, Role, UrlId};
 use geoserp_geo::{Granularity, LocationId};
-use geoserp_metrics::{attribution as type_attribution, edit_distance, jaccard};
+use geoserp_metrics::edit_distance;
 use geoserp_obs::ObsHub;
 use geoserp_pool::DetPool;
 use geoserp_serp::ResultType;
@@ -107,7 +101,7 @@ impl PairStat {
     /// collected once and shared by the Jaccard and the total edit distance;
     /// the type-filtered sublists follow `geoserp_metrics::attribution`'s
     /// definition exactly (`other` is the residual, floored at zero), so the
-    /// values match the string-based serial path bit for bit.
+    /// values match the string-based kernels bit for bit.
     fn of(a: &Observation, b: &Observation) -> PairStat {
         use std::cell::RefCell;
         thread_local! {
@@ -157,6 +151,7 @@ type NoiseKey<'a> = (Granularity, u32, LocationId, &'a str);
 type TreatKey<'a> = (Granularity, u32, LocationId, LocationId, &'a str);
 
 /// Every pairwise comparison the report needs, computed once.
+#[derive(Default)]
 struct PairCache<'a> {
     noise: HashMap<NoiseKey<'a>, PairStat>,
     treatment: HashMap<TreatKey<'a>, PairStat>,
@@ -170,66 +165,24 @@ pub struct ObsIndex<'a> {
     days_by_granularity: BTreeMap<Granularity, BTreeSet<u32>>,
     locations_by_granularity: BTreeMap<Granularity, Vec<LocationId>>,
     pool: DetPool,
-    cache: Option<PairCache<'a>>,
+    cache: PairCache<'a>,
 }
 
 impl<'a> ObsIndex<'a> {
-    /// Build the index (one pass over the observations).
+    /// Build the index and its pair cache inline on the calling thread: the
+    /// `Workers::Fixed(1)` case of [`Self::with_options`].
     pub fn new(ds: &'a Dataset) -> Self {
-        let mut by_cell = HashMap::new();
-        let mut terms_by_category: BTreeMap<QueryCategory, Vec<&'a str>> = BTreeMap::new();
-        let mut days_by_granularity: BTreeMap<Granularity, BTreeSet<u32>> = BTreeMap::new();
-        let mut locations_by_granularity: BTreeMap<Granularity, Vec<LocationId>> = BTreeMap::new();
-
-        for obs in ds.observations() {
-            by_cell.insert(
-                (
-                    obs.block_day,
-                    obs.granularity,
-                    obs.location,
-                    obs.term.as_str(),
-                    obs.role,
-                ),
-                obs,
-            );
-            let terms = terms_by_category.entry(obs.category).or_default();
-            if !terms.contains(&obs.term.as_str()) {
-                terms.push(obs.term.as_str());
-            }
-            days_by_granularity
-                .entry(obs.granularity)
-                .or_default()
-                .insert(obs.block_day);
-            let locs = locations_by_granularity.entry(obs.granularity).or_default();
-            if !locs.contains(&obs.location) {
-                locs.push(obs.location);
-            }
-        }
-
-        ObsIndex {
-            ds,
-            by_cell,
-            terms_by_category,
-            days_by_granularity,
-            locations_by_granularity,
-            pool: DetPool::serial(),
-            cache: None,
-        }
+        Self::with_options(ds, &AnalysisOptions::fixed(1), None)
     }
 
-    /// Build the index under an [`AnalysisOptions`] policy. With anything
-    /// other than [`geoserp_pool::Workers::Serial`], every pairwise
-    /// comparison any figure
-    /// will need is computed up front — exactly once, over interned URL
-    /// ids, sharded across the pool by stable task index — and figures
-    /// consume the cache through the `pair_*` accessors. Output values are
-    /// identical to the serial path's.
+    /// Build the index under an [`AnalysisOptions`] policy. After one pass
+    /// over the observations for the lookup tables, every pairwise
+    /// comparison any figure will need is computed up front — exactly once,
+    /// over interned URL ids, sharded across the pool by stable task index —
+    /// and figures consume the cache through the `pair_*` accessors. Output
+    /// values are identical for every worker count.
     pub fn with_options(ds: &'a Dataset, options: &AnalysisOptions, obs: Option<&ObsHub>) -> Self {
-        let mut idx = ObsIndex::new(ds);
-        idx.pool = DetPool::new(options.workers);
-        if options.workers.is_serial() {
-            return idx;
-        }
+        let mut idx = ObsIndex::lookups(ds, DetPool::new(options.workers));
         let started = std::time::Instant::now();
         // Enumerate every comparison in the fixed consumer orientation:
         // noise pairs as (treatment, control), treatment pairs as
@@ -269,7 +222,7 @@ impl<'a> ObsIndex<'a> {
                 );
             }
         }
-        idx.cache = Some(cache);
+        idx.cache = cache;
         if let Some(hub) = obs {
             hub.metrics()
                 .gauge("analysis.pair_cache_wall_us")
@@ -278,100 +231,121 @@ impl<'a> ObsIndex<'a> {
         idx
     }
 
+    /// The lookup tables (one pass over the observations), with an empty
+    /// pair cache.
+    fn lookups(ds: &'a Dataset, pool: DetPool) -> Self {
+        let mut by_cell = HashMap::new();
+        let mut terms_by_category: BTreeMap<QueryCategory, Vec<&'a str>> = BTreeMap::new();
+        let mut days_by_granularity: BTreeMap<Granularity, BTreeSet<u32>> = BTreeMap::new();
+        let mut locations_by_granularity: BTreeMap<Granularity, Vec<LocationId>> = BTreeMap::new();
+
+        for obs in ds.observations() {
+            by_cell.insert(
+                (
+                    obs.block_day,
+                    obs.granularity,
+                    obs.location,
+                    obs.term.as_str(),
+                    obs.role,
+                ),
+                obs,
+            );
+            let terms = terms_by_category.entry(obs.category).or_default();
+            if !terms.contains(&obs.term.as_str()) {
+                terms.push(obs.term.as_str());
+            }
+            days_by_granularity
+                .entry(obs.granularity)
+                .or_default()
+                .insert(obs.block_day);
+            let locs = locations_by_granularity.entry(obs.granularity).or_default();
+            if !locs.contains(&obs.location) {
+                locs.push(obs.location);
+            }
+        }
+
+        ObsIndex {
+            ds,
+            by_cell,
+            terms_by_category,
+            days_by_granularity,
+            locations_by_granularity,
+            pool,
+            cache: PairCache::default(),
+        }
+    }
+
     /// The deterministic pool analyses shard their work through.
     pub fn pool(&self) -> &DetPool {
         &self.pool
     }
 
-    /// Whether the pairwise comparison cache is active (pooled path).
-    pub fn is_cached(&self) -> bool {
-        self.cache.is_some()
-    }
-
-    /// Cache lookup in either orientation (all pair statistics are
-    /// symmetric). `None` on the serial path.
-    fn cached_stat(&self, a: &Observation, b: &Observation) -> Option<PairStat> {
-        let cache = self.cache.as_ref()?;
+    /// One pair's comparison. Pairs the cache enumerates are looked up in
+    /// either orientation (all pair statistics are symmetric); any other
+    /// pair — only an ad-hoc caller asks for one — is computed on the spot
+    /// by the same id kernel.
+    fn stat(&self, a: &Observation, b: &Observation) -> PairStat {
         let (gran, day, term) = (a.granularity, a.block_day, a.term.as_str());
-        if a.location == b.location {
-            cache.noise.get(&(gran, day, a.location, term)).copied()
-        } else {
-            cache
+        let same_cell = (b.granularity, b.block_day, b.term.as_str()) == (gran, day, term);
+        let cached = match (a.role, b.role) {
+            _ if !same_cell => None,
+            (Role::Treatment, Role::Control) | (Role::Control, Role::Treatment)
+                if a.location == b.location =>
+            {
+                self.cache.noise.get(&(gran, day, a.location, term))
+            }
+            (Role::Treatment, Role::Treatment) => self
+                .cache
                 .treatment
                 .get(&(gran, day, a.location, b.location, term))
                 .or_else(|| {
-                    cache
+                    self.cache
                         .treatment
                         .get(&(gran, day, b.location, a.location, term))
-                })
-                .copied()
-        }
+                }),
+            _ => None,
+        };
+        cached.copied().unwrap_or_else(|| PairStat::of(a, b))
     }
 
-    /// Jaccard and edit distance of a pair's URL lists. Cached on the
-    /// pooled path; recomputed from URL strings (the legacy code path) on
-    /// the serial one.
+    /// Jaccard and edit distance of a pair's URL lists.
     pub fn pair_urls_stat(&self, a: &'a Observation, b: &'a Observation) -> (f64, f64) {
-        if let Some(s) = self.cached_stat(a, b) {
-            return (s.jaccard, s.total as f64);
-        }
-        let ua = self.urls(a);
-        let ub = self.urls(b);
-        (jaccard(&ua, &ub), edit_distance(&ua, &ub) as f64)
+        let s = self.stat(a, b);
+        (s.jaccard, s.total as f64)
     }
 
-    /// Edit distance of a pair's URL lists (see [`Self::pair_urls_stat`]).
+    /// Edit distance of a pair's URL lists.
     pub fn pair_edit(&self, a: &'a Observation, b: &'a Observation) -> f64 {
-        if let Some(s) = self.cached_stat(a, b) {
-            return s.total as f64;
-        }
-        edit_distance(&self.urls(a), &self.urls(b)) as f64
+        self.stat(a, b).total as f64
     }
 
-    /// Jaccard of a pair's URL sets (see [`Self::pair_urls_stat`]).
+    /// Jaccard of a pair's URL sets.
     pub fn pair_jaccard(&self, a: &'a Observation, b: &'a Observation) -> f64 {
-        if let Some(s) = self.cached_stat(a, b) {
-            return s.jaccard;
-        }
-        jaccard(&self.urls(a), &self.urls(b))
+        self.stat(a, b).jaccard
     }
 
-    /// Result-type attribution `(total, maps, news, other)` of a pair (see
-    /// [`Self::pair_urls_stat`]).
+    /// Result-type attribution `(total, maps, news, other)` of a pair.
     pub fn pair_attribution(
         &self,
         a: &'a Observation,
         b: &'a Observation,
     ) -> (usize, usize, usize, usize) {
-        if let Some(s) = self.cached_stat(a, b) {
-            return (s.total, s.meta[0], s.meta[1], s.other);
-        }
-        let ta = self.typed(a);
-        let tb = self.typed(b);
-        let t = type_attribution(&ta, &tb, &ResultType::Maps, &ResultType::News);
-        (t.total, t.maps, t.news, t.other)
+        let s = self.stat(a, b);
+        (s.total, s.meta[0], s.meta[1], s.other)
     }
 
     /// Full-taxonomy attribution of a pair: `(total, per-type edit
     /// distances parallel to [`ResultType::META`], residual)`, where the
     /// residual is `total - sum(per-type)` floored at zero (the organic
-    /// remainder). Cached on the pooled path, recomputed from the typed
-    /// URL lists on the serial one — values are identical either way.
+    /// remainder).
     pub fn pair_attribution_meta(
         &self,
         a: &'a Observation,
         b: &'a Observation,
     ) -> (usize, [usize; ResultType::META.len()], usize) {
-        if let Some(s) = self.cached_stat(a, b) {
-            let residual = s.total.saturating_sub(s.meta.iter().sum());
-            return (s.total, s.meta, residual);
-        }
-        let ta = self.typed(a);
-        let tb = self.typed(b);
-        let m = geoserp_metrics::attribution_by(&ta, &tb, &ResultType::META);
-        let mut meta = [0usize; ResultType::META.len()];
-        meta.copy_from_slice(&m.by_type);
-        (m.total, meta, m.other)
+        let s = self.stat(a, b);
+        let residual = s.total.saturating_sub(s.meta.iter().sum());
+        (s.total, s.meta, residual)
     }
 
     /// The underlying dataset.
@@ -558,5 +532,30 @@ mod tests {
             assert_ne!(a.location, b.location);
             assert_eq!(a.block_day, b.block_day);
         });
+    }
+
+    #[test]
+    fn pairs_outside_the_cache_fall_back_to_the_id_kernel() {
+        // Each pair shares a cached key's coordinates without being a cached
+        // comparison: across days, treatment vs control at two locations,
+        // and a page against itself.
+        let ds = dataset();
+        let idx = ObsIndex::new(&ds);
+        let (gran, term) = (Granularity::County, idx.terms(QueryCategory::Local)[0]);
+        let locs = idx.locations(gran);
+        let at = |day, loc, role| idx.get(day, gran, loc, term, role).unwrap();
+        let treat = Role::Treatment;
+        for (a, b) in [
+            (at(0, locs[0], treat), at(1, locs[1], treat)),
+            (at(0, locs[0], treat), at(0, locs[1], Role::Control)),
+            (at(0, locs[0], treat), at(0, locs[0], treat)),
+        ] {
+            let (ua, ub) = (idx.urls(a), idx.urls(b));
+            let expected = (
+                geoserp_metrics::jaccard(&ua, &ub),
+                edit_distance(&ua, &ub) as f64,
+            );
+            assert_eq!(idx.pair_urls_stat(a, b), expected);
+        }
     }
 }

@@ -4,16 +4,14 @@ use geoserp_pool::Workers;
 
 /// How the analysis pipeline executes.
 ///
-/// The default (`Workers::Auto`) runs the pooled path: pairwise
-/// comparisons are computed once over interned URL ids and sharded across
-/// the host's cores. [`Workers::Serial`] selects the legacy single-threaded
-/// reference path. Every setting produces byte-identical reports — worker
-/// count changes wall-clock, never output.
+/// The default (`Workers::Auto`) shards the pairwise comparisons, the
+/// per-cell inference and the per-figure rendering across the host's cores;
+/// `Workers::Fixed(1)` runs all of it inline. Every setting produces
+/// byte-identical reports — worker count changes wall-clock, never output.
 /// The struct is `#[non_exhaustive]`: construct it through
-/// [`AnalysisOptions::new`]/[`serial`](AnalysisOptions::serial)/
-/// [`fixed`](AnalysisOptions::fixed) and adjust with the fluent
-/// [`workers`](AnalysisOptions::workers) setter, so future options don't
-/// break downstream struct literals.
+/// [`AnalysisOptions::new`]/[`fixed`](AnalysisOptions::fixed) and adjust
+/// with the fluent [`workers`](AnalysisOptions::workers) setter, so future
+/// options don't break downstream struct literals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct AnalysisOptions {
@@ -28,11 +26,6 @@ impl AnalysisOptions {
         AnalysisOptions {
             workers: Workers::Auto,
         }
-    }
-
-    /// The legacy single-threaded reference path.
-    pub fn serial() -> Self {
-        AnalysisOptions::new().workers(Workers::Serial)
     }
 
     /// A fixed worker count.
@@ -60,7 +53,6 @@ mod tests {
     #[test]
     fn defaults_to_auto() {
         assert_eq!(AnalysisOptions::default().workers, Workers::Auto);
-        assert!(AnalysisOptions::serial().workers.is_serial());
         assert_eq!(AnalysisOptions::fixed(3).workers, Workers::Fixed(3));
     }
 }

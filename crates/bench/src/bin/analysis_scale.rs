@@ -1,20 +1,19 @@
 //! `analysis_scale` — analysis-pipeline scaling benchmark.
 //!
 //! Crawls each scale once, then produces the full analysis report under
-//! `Workers::Serial` (the legacy reference path) and `Workers::Fixed(2|4|8)`
-//! (the pooled path: pairwise comparisons computed once over interned URL
-//! ids and sharded across the pool). Byte-identity against the serial
-//! reference is asserted **before** any timing, so a run that diverged
-//! never reports a speedup.
+//! `Workers::Fixed(1)` (everything inline, the baseline) and
+//! `Workers::Fixed(2|4|8)` (pairwise comparisons, per-cell inference and
+//! per-figure rendering sharded across the pool). Byte-identity against the
+//! one-worker report is asserted **before** any timing, so a run that
+//! diverged never reports a speedup.
 //!
-//! The pairwise-comparison stage is additionally timed in isolation by
-//! replaying the figures' per-pair metric demand — Jaccard + edit distance
-//! (Figs. 2/5), result-type attribution (Figs. 4/7), and a second edit
-//! distance (the significance table) — against both paths: the serial path
-//! answers each request by recomputing from URL strings, the pooled path by
-//! building the `PairStat` cache and looking requests up. The replay
-//! checksums are asserted equal, so both paths demonstrably did the same
-//! work.
+//! The pairwise-comparison stage is additionally timed in isolation: the
+//! `PairStat` cache build (as the `analysis.pair_cache_wall_us` gauge
+//! reports it) plus a replay of the figures' per-pair metric demand —
+//! Jaccard + edit distance (Figs. 2/5), result-type attribution (Figs. 4/7),
+//! and a second edit distance (the significance table) — answered by cache
+//! lookups. The replay checksums are asserted equal across worker counts,
+//! so every arm demonstrably did the same work.
 //!
 //! Every wall-clock number is the best of [`REPS`] runs.
 //!
@@ -44,13 +43,12 @@ fn best_of(mut f: impl FnMut() -> f64) -> f64 {
 
 /// Replay the report's per-pair metric demand against an index, returning
 /// `(pairs, checksum)`. The demand profile mirrors `full_report_with_options`
-/// consumer by consumer — including the recomputation the serial figures do:
-/// Local pairs are compared again for Figs. 3/6, County-Local pairs again for
-/// Fig. 4 and the demographics table, and the Fig. 8 baseline series twice
-/// over (the consistency section and the clusters section each build it).
-/// The checksum folds every answered value in, so the work cannot be
-/// optimized away and the two paths can be asserted to have produced
-/// identical answers.
+/// consumer by consumer: Local pairs are looked up again for Figs. 3/6,
+/// County-Local pairs again for Fig. 4 and the demographics table, and the
+/// Fig. 8 baseline series twice over (the consistency section and the
+/// clusters section each build it). The checksum folds every answered value
+/// in, so the work cannot be optimized away and the arms can be asserted to
+/// have produced identical answers.
 fn replay_pair_demand<'a>(idx: &ObsIndex<'a>) -> (usize, f64) {
     let mut pairs = 0usize;
     let mut acc = 0.0f64;
@@ -101,26 +99,28 @@ fn replay_pair_demand<'a>(idx: &ObsIndex<'a>) -> (usize, f64) {
     (pairs, acc)
 }
 
-/// One timed pairwise stage on the pooled path: cache build (as reported by
-/// the `analysis.pair_cache_wall_us` gauge, so exactly the instrumented
-/// span) plus the lookup replay.
-struct PooledStage {
+/// One timed pairwise stage: cache build (as reported by the
+/// `analysis.pair_cache_wall_us` gauge, so exactly the instrumented span)
+/// plus the lookup replay.
+struct PairStage {
+    pairs: usize,
+    checksum: f64,
     cache_build_s: f64,
     lookup_s: f64,
 }
 
-impl PooledStage {
+impl PairStage {
     fn total_s(&self) -> f64 {
         self.cache_build_s + self.lookup_s
     }
 }
 
-fn pooled_pairwise_stage(ds: &Dataset, workers: usize, reference_sum: f64) -> PooledStage {
-    let mut best: Option<PooledStage> = None;
+/// Best-of-[`REPS`] pairwise stage at `workers`.
+fn pairwise_stage(ds: &Dataset, workers: usize) -> PairStage {
+    let mut best: Option<PairStage> = None;
     for _ in 0..REPS {
         let hub = ObsHub::new();
         let idx = ObsIndex::with_options(ds, &AnalysisOptions::fixed(workers), Some(&hub));
-        assert!(idx.is_cached(), "pooled index must carry the pair cache");
         let cache_build_s = hub
             .snapshot()
             .gauges
@@ -129,13 +129,11 @@ fn pooled_pairwise_stage(ds: &Dataset, workers: usize, reference_sum: f64) -> Po
             .expect("pair-cache build gauge") as f64
             / 1e6;
         let started = Instant::now();
-        let (_, sum) = replay_pair_demand(&idx);
+        let (pairs, checksum) = replay_pair_demand(&idx);
         let lookup_s = started.elapsed().as_secs_f64();
-        assert_eq!(
-            sum, reference_sum,
-            "pooled pair answers diverged from the serial path at {workers} workers"
-        );
-        let stage = PooledStage {
+        let stage = PairStage {
+            pairs,
+            checksum,
             cache_build_s,
             lookup_s,
         };
@@ -168,9 +166,9 @@ fn bench_scale(scale: Scale, seed: u64) -> Value {
         ds.observations().len()
     );
 
-    // Byte-identity FIRST: every pooled policy must reproduce the serial
-    // reference exactly before any of them is worth timing.
-    let reference = full_report_with_options(&ds, None, &AnalysisOptions::serial());
+    // Byte-identity FIRST: every pooled policy must reproduce the one-worker
+    // report exactly before any of them is worth timing.
+    let reference = full_report_with_options(&ds, None, &AnalysisOptions::fixed(1));
     for &n in &POOLED_WORKERS {
         let pooled = full_report_with_options(&ds, None, &AnalysisOptions::fixed(n));
         assert_eq!(
@@ -181,67 +179,67 @@ fn bench_scale(scale: Scale, seed: u64) -> Value {
         );
     }
     eprintln!(
-        "[geoserp-bench]   byte-identity: serial == workers {POOLED_WORKERS:?} ({} report bytes)",
+        "[geoserp-bench]   byte-identity: workers 1 == workers {POOLED_WORKERS:?} ({} report bytes)",
         reference.len()
     );
 
     // Full-report wall clock (best of REPS).
-    let serial_report_s = timed_report(&ds, &AnalysisOptions::serial());
-    eprintln!("[geoserp-bench]   report/serial    {serial_report_s:>8.3}s");
+    let base_report_s = timed_report(&ds, &AnalysisOptions::fixed(1));
+    eprintln!("[geoserp-bench]   report/workers_1 {base_report_s:>8.3}s");
     let mut report_entries = serde_json::Map::new();
-    report_entries.insert("serial".into(), json!({ "wall_clock_s": serial_report_s }));
+    report_entries.insert("workers_1".into(), json!({ "wall_clock_s": base_report_s }));
     for &n in &POOLED_WORKERS {
         let s = timed_report(&ds, &AnalysisOptions::fixed(n));
         eprintln!(
-            "[geoserp-bench]   report/workers_{n} {s:>8.3}s  ({:.2}x vs serial)",
-            serial_report_s / s
+            "[geoserp-bench]   report/workers_{n} {s:>8.3}s  ({:.2}x vs 1 worker)",
+            base_report_s / s
         );
         report_entries.insert(
             format!("workers_{n}"),
-            json!({ "wall_clock_s": s, "speedup_vs_serial": serial_report_s / s }),
+            json!({ "wall_clock_s": s, "speedup_vs_1": base_report_s / s }),
         );
     }
 
     // Pairwise-comparison stage in isolation (best of REPS).
-    let serial_idx = ObsIndex::new(&ds);
-    let (pairs, serial_sum) = replay_pair_demand(&serial_idx);
-    let serial_stage_s = best_of(|| {
-        let started = Instant::now();
-        let (_, sum) = replay_pair_demand(&serial_idx);
-        let s = started.elapsed().as_secs_f64();
-        assert_eq!(sum, serial_sum, "serial replay must be deterministic");
-        s
-    });
-    eprintln!("[geoserp-bench]   pairs/serial     {serial_stage_s:>8.3}s  ({pairs} pairs)");
+    let base = pairwise_stage(&ds, 1);
+    eprintln!(
+        "[geoserp-bench]   pairs/workers_1  {:>8.3}s  ({} pairs)",
+        base.total_s(),
+        base.pairs
+    );
+    let entry = |stage: &PairStage, speedup: f64| {
+        json!({
+            "cache_build_s": stage.cache_build_s,
+            "lookup_s": stage.lookup_s,
+            "total_s": stage.total_s(),
+            "speedup_vs_1": speedup,
+        })
+    };
     let mut stage_entries = serde_json::Map::new();
-    stage_entries.insert("serial_s".into(), json!(serial_stage_s));
+    stage_entries.insert("workers_1".into(), entry(&base, 1.0));
     let mut speedup_at_4 = 0.0;
     for &n in &POOLED_WORKERS {
-        let stage = pooled_pairwise_stage(&ds, n, serial_sum);
-        let speedup = serial_stage_s / stage.total_s();
+        let stage = pairwise_stage(&ds, n);
+        assert_eq!(
+            stage.checksum, base.checksum,
+            "pair answers diverged from one worker at {n} workers"
+        );
+        let speedup = base.total_s() / stage.total_s();
         if n == 4 {
             speedup_at_4 = speedup;
         }
         eprintln!(
-            "[geoserp-bench]   pairs/workers_{n}  {:>8.3}s  ({speedup:.2}x vs serial)",
+            "[geoserp-bench]   pairs/workers_{n}  {:>8.3}s  ({speedup:.2}x vs 1 worker)",
             stage.total_s()
         );
-        stage_entries.insert(
-            format!("workers_{n}"),
-            json!({
-                "cache_build_s": stage.cache_build_s,
-                "lookup_s": stage.lookup_s,
-                "total_s": stage.total_s(),
-                "speedup_vs_serial": speedup,
-            }),
-        );
+        stage_entries.insert(format!("workers_{n}"), entry(&stage, speedup));
     }
     eprintln!();
 
     json!({
         "scale": scale.label(),
         "serps": ds.observations().len() as u64,
-        "pairs": pairs as u64,
+        "pairs": base.pairs as u64,
         "byte_identical": true,
         "report": Value::Object(report_entries),
         "pairwise_stage": Value::Object(stage_entries),

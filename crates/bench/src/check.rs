@@ -17,10 +17,11 @@
 //!   missing from the fresh report (coverage must not silently shrink),
 //!   fail unconditionally; extra fresh cells are fine.
 //! * **obs** (`BENCH_obs.json`): the byte-identity bits (`byte_identical`,
-//!   and `routed_byte_identical` when present) must be true — those are
-//!   correctness, not noise — and the instrumented wall clocks
-//!   (`instrumented_best_s`, `routed_instrumented_best_s`) must stay
-//!   within 125% of baseline. `within_target` is reported but not
+//!   and `routed_byte_identical` unless the baseline lacks it too) must be
+//!   present and true — those are correctness, not noise — and every
+//!   instrumented wall clock the baseline reports (`instrumented_best_s`,
+//!   `routed_instrumented_best_s`) must be reported and stay within 125%
+//!   of baseline. `within_target` is reported but not
 //!   enforced: the 3% overhead target compares two runs on the *same*
 //!   machine, which is meaningful per report but noisy as a cross-run
 //!   gate.
@@ -195,10 +196,16 @@ pub fn check_serve(fresh: &Value, baseline: &Value) -> Vec<Verdict> {
     out
 }
 
-/// Gate one instrumented wall clock against baseline, when both report it.
+/// Gate one instrumented wall clock against baseline. A baseline that
+/// reports the clock requires the fresh report to report it too: a missing
+/// or zero fresh value fails rather than slipping past the ratio check.
 fn check_wall(out: &mut Vec<Verdict>, fresh: &Value, baseline: &Value, key: &str) {
     let (f, b) = (num(fresh, key), num(baseline, key));
-    if b > 0.0 && f > b * MAX_WALL_RATIO {
+    if b > 0.0 && f <= 0.0 {
+        out.push(fail(format!(
+            "{key} missing from fresh report (base {b:.3}s)"
+        )));
+    } else if b > 0.0 && f > b * MAX_WALL_RATIO {
         out.push(fail(format!(
             "{key} regressed: {b:.3}s -> {f:.3}s (ceiling {:.3}s)",
             b * MAX_WALL_RATIO
@@ -208,22 +215,27 @@ fn check_wall(out: &mut Vec<Verdict>, fresh: &Value, baseline: &Value, key: &str
     }
 }
 
-/// Gate a byte-identity bit: false is a determinism bug, never noise.
-fn check_identity(out: &mut Vec<Verdict>, fresh: &Value, key: &str) {
+/// Gate a byte-identity bit: false is a determinism bug, never noise, and
+/// so is a missing bit — unless `optional`, where it may be absent.
+fn check_identity(out: &mut Vec<Verdict>, fresh: &Value, key: &str, optional: bool) {
     match fresh.get(key).and_then(Value::as_bool) {
         Some(true) => out.push(pass(format!("{key}: true"))),
         Some(false) => out.push(fail(format!(
             "{key} is false — instrumentation perturbed the output"
         ))),
-        None => {}
+        None if optional => {}
+        None => out.push(fail(format!("{key} missing from fresh report"))),
     }
 }
 
 /// Gate a fresh `BENCH_obs.json` against the committed baseline.
 pub fn check_obs(fresh: &Value, baseline: &Value) -> Vec<Verdict> {
     let mut out = Vec::new();
-    check_identity(&mut out, fresh, "byte_identical");
-    check_identity(&mut out, fresh, "routed_byte_identical");
+    check_identity(&mut out, fresh, "byte_identical", false);
+    // The routed cell may be absent only from reports whose baseline
+    // predates it.
+    let routed_optional = baseline.get("routed_byte_identical").is_none();
+    check_identity(&mut out, fresh, "routed_byte_identical", routed_optional);
     check_wall(&mut out, fresh, baseline, "instrumented_best_s");
     check_wall(&mut out, fresh, baseline, "routed_instrumented_best_s");
     for key in ["overhead_pct", "routed_overhead_pct"] {
@@ -633,6 +645,34 @@ mod tests {
         );
         let shrunk = index_report(vec![index_scale_entry(1, 40, 3.0, true)], 16.0, true);
         assert_eq!(failed(&check_index(&shrunk, &base)), 1);
+    }
+
+    #[test]
+    fn obs_gate_fails_a_missing_identity_bit() {
+        let base = json!({ "instrumented_best_s": 1.0 });
+        let fresh = json!({ "instrumented_best_s": 1.0 });
+        assert_eq!(
+            failed(&check_obs(&fresh, &base)),
+            1,
+            "byte_identical absent"
+        );
+        // The routed bit may only be absent when the baseline lacks it too.
+        let base = json!({ "routed_byte_identical": true, "instrumented_best_s": 1.0 });
+        let fresh = json!({ "byte_identical": true, "instrumented_best_s": 1.0 });
+        assert_eq!(failed(&check_obs(&fresh, &base)), 1, "routed bit dropped");
+    }
+
+    #[test]
+    fn obs_gate_fails_a_wall_clock_the_baseline_has_but_the_report_lacks() {
+        let base = json!({ "instrumented_best_s": 1.0, "routed_instrumented_best_s": 0.5 });
+        let missing = json!({ "byte_identical": true, "instrumented_best_s": 1.0 });
+        assert_eq!(failed(&check_obs(&missing, &base)), 1);
+        let zero = json!({
+            "byte_identical": true,
+            "instrumented_best_s": 0.0,
+            "routed_instrumented_best_s": 0.5,
+        });
+        assert_eq!(failed(&check_obs(&zero, &base)), 1);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! Three throughput benchmarks write JSON artifacts instead: the default
 //! binary (`geoserp-bench`) races the crawl backends into
 //! `BENCH_crawl.json`, `analysis_scale` races the analysis pipeline
-//! (serial vs 2/4/8 pooled workers, byte-identity asserted before timing)
+//! (1 vs 2/4/8 pooled workers, byte-identity asserted before timing)
 //! into `BENCH_analysis.json`, and `index_scale` races the exact vs
 //! compressed index backends across corpus scales (byte-identity asserted
 //! before timing) into `BENCH_index.json`. `geoserp-bench check
@@ -34,8 +34,6 @@
 //! * `medium` (default) — tens of seconds; shapes are stable;
 //! * `full` — the paper's complete plan (240 queries × 59 locations ×
 //!   2 roles × 5 days/block), minutes of wall clock.
-//!
-//! Criterion performance benches live under `benches/`.
 
 pub mod check;
 

@@ -1,9 +1,9 @@
 //! `geoserp-bench` — crawl-throughput benchmark.
 //!
-//! Runs the same plan on every crawl backend (serial, the legacy
-//! spawn-per-round strategy, and the persistent worker pool), verifies the
-//! datasets are byte-identical, and writes `BENCH_crawl.json` with
-//! wall-clock, rounds/sec, and SERPs/sec per backend and scale.
+//! Runs the same plan on both crawl backends (serial and the persistent
+//! worker pool), verifies the datasets are byte-identical, and writes
+//! `BENCH_crawl.json` with wall-clock, rounds/sec, and SERPs/sec per backend
+//! and scale.
 //!
 //! Scales benchmarked default to `quick,medium`; set
 //! `GEOSERP_BENCH_SCALES=quick,full` (comma-separated) to change. The
@@ -65,7 +65,6 @@ fn bench_scale(scale: Scale, seed: u64) -> Value {
     eprintln!("[geoserp-bench] scale={} seed={seed}", scale.label());
     let runs = [
         run_backend(&plan, seed, CrawlBackend::Serial, "serial"),
-        run_backend(&plan, seed, CrawlBackend::SpawnPerRound, "spawn_per_round"),
         run_backend(&plan, seed, CrawlBackend::WorkerPool, "worker_pool"),
     ];
     let byte_identical = runs.iter().all(|r| r.json == runs[0].json);
@@ -74,11 +73,11 @@ fn bench_scale(scale: Scale, seed: u64) -> Value {
         "backends diverged at scale {} — determinism bug",
         scale.label()
     );
-    let spawn = runs[1].wall_clock_s;
-    let pool = runs[2].wall_clock_s;
+    let serial = runs[0].wall_clock_s;
+    let pool = runs[1].wall_clock_s;
     eprintln!(
-        "[geoserp-bench]   pool vs spawn-per-round: {:+.1}%\n",
-        100.0 * (spawn - pool) / spawn
+        "[geoserp-bench]   pool vs serial: {:+.1}%\n",
+        100.0 * (serial - pool) / serial
     );
     let mut backends = serde_json::Map::new();
     for r in &runs {
@@ -96,7 +95,7 @@ fn bench_scale(scale: Scale, seed: u64) -> Value {
         "serps": runs[0].serps as u64,
         "backends": Value::Object(backends),
         "byte_identical": byte_identical,
-        "pool_speedup_vs_spawn": spawn / pool,
+        "pool_speedup_vs_serial": serial / pool,
     })
 }
 

@@ -2,7 +2,6 @@
 //! a `String` so the logic is unit-testable without capturing stdout.
 
 use crate::args::{ArgError, ParsedArgs};
-use geoserp_core::analysis::ObsIndex;
 use geoserp_core::crawler::{
     observations_csv, results_csv, to_jsonl, CrawlBackend, CrawlCheckpoint, CrawlOptions,
 };
@@ -99,9 +98,7 @@ COMMANDS:
                                            (load in Perfetto or
                                            chrome://tracing)
                  parallel analysis (report bytes never change):
-                   --analysis-workers W    auto|serial|N analysis threads
-                                           [auto]; serial is the reference
-                                           single-threaded pipeline
+                   --analysis-workers W    auto|N analysis threads [auto]
     analyze      rerun every figure over a saved dataset
                    <file>          dataset JSON from `run --save`
                    --analysis-workers W    as for run
@@ -218,7 +215,7 @@ fn plan_for(scale: &str) -> Result<ExperimentPlan, CliError> {
     }
 }
 
-/// Parse `--analysis-workers auto|serial|N` (default `auto`).
+/// Parse `--analysis-workers auto|N` (default `auto`).
 fn analysis_options_from(args: &ParsedArgs) -> Result<AnalysisOptions, CliError> {
     let mut options = AnalysisOptions::default();
     if let Some(w) = args.get("analysis-workers") {
@@ -1039,13 +1036,14 @@ pub fn cmd_export(args: &ParsedArgs) -> Result<String, CliError> {
     let dataset = study.run();
     write_exports(&dataset, Path::new(&dir))?;
     // A quick integrity line so scripts can assert on it.
-    let idx = ObsIndex::new(&dataset);
+    let categories: std::collections::BTreeSet<_> =
+        dataset.observations().iter().map(|o| o.category).collect();
     Ok(format!(
         "wrote observations.csv, results.csv, dataset.jsonl to {dir}\n\
          {} observations, {} distinct URLs, {} categories\n",
         dataset.observations().len(),
         dataset.distinct_urls(),
-        idx.categories().len(),
+        categories.len(),
     ))
 }
 
@@ -1390,18 +1388,21 @@ mod tests {
 
     #[test]
     fn analysis_workers_flag_never_changes_report_bytes() {
-        let serial = cmd_run(&run_args(
-            "run --scale quick --seed 11 --quiet --analysis-workers serial",
+        let inline = cmd_run(&run_args(
+            "run --scale quick --seed 11 --quiet --analysis-workers 1",
         ))
         .unwrap();
         let pooled = cmd_run(&run_args(
             "run --scale quick --seed 11 --quiet --analysis-workers 3",
         ))
         .unwrap();
-        assert_eq!(serial, pooled, "worker count leaked into report bytes");
+        assert_eq!(inline, pooled, "worker count leaked into report bytes");
 
-        let err = cmd_run(&run_args("run --scale quick --analysis-workers many")).unwrap_err();
-        assert!(err.to_string().contains("analysis-workers"), "{err}");
+        for bad in ["many", "serial"] {
+            let argv = format!("run --scale quick --analysis-workers {bad}");
+            let err = cmd_run(&run_args(&argv)).unwrap_err();
+            assert!(err.to_string().contains("expected auto|N"), "{err}");
+        }
     }
 
     #[test]

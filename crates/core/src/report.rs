@@ -43,11 +43,10 @@ type Section<'a> = (&'a str, Box<dyn Fn() -> String + Send + Sync + 'a>);
 
 /// Render the full report with explicit [`AnalysisOptions`].
 ///
-/// `Workers::Serial` reproduces the original single-threaded pipeline
-/// byte for byte; `Auto`/`Fixed(n)` additionally precompute the shared
-/// pairwise-comparison cache and fan the eleven report sections out over a
-/// deterministic worker pool. The differential battery in
-/// `tests/analysis_parallel.rs` asserts the outputs are identical.
+/// The shared pairwise-comparison cache is computed once, and the eleven
+/// report sections fan out over a deterministic worker pool sized by
+/// `options`. The differential battery in `tests/analysis_parallel.rs`
+/// asserts the outputs are identical for every worker count.
 pub fn full_report_with_options(
     dataset: &Dataset,
     obs: Option<&ObsHub>,

@@ -13,7 +13,6 @@ use geoserp_geo::{Coord, Location, Seed, UsGeography, VantagePoints};
 use geoserp_net::{SimNet, Status};
 use geoserp_obs::{Counter, Histogram, ObsHub, SpanRecord};
 use geoserp_serp::SerpPage;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -121,8 +120,8 @@ pub struct CrawlOptions<'a> {
     /// How rounds execute (see [`CrawlBackend`]).
     pub backend: CrawlBackend,
     /// Emit a checkpoint after every N completed rounds (0 = never). The
-    /// worker-pool backend drains its pipeline at each boundary so the
-    /// checkpoint captures an idle, fully-absorbed world.
+    /// round pipeline drains at each boundary so the checkpoint captures an
+    /// idle, fully-absorbed world.
     pub checkpoint_every: usize,
     /// Where checkpoints go. Runs on the scheduler thread between rounds,
     /// so writing files here cannot perturb the crawl's determinism.
@@ -213,6 +212,43 @@ struct RoundDesc<'a> {
 pub(crate) struct JobOutput {
     pub(crate) page: SerpPage,
     pub(crate) datacenter: String,
+}
+
+/// Where a round's jobs execute. Both runners feed the same pipelined round
+/// loop in [`Crawler::run_with_options`]; they differ only in which threads
+/// do the fetching.
+enum RoundRunner {
+    /// Every job runs in plan order on the scheduler thread, at dispatch.
+    Serial,
+    /// Persistent per-machine workers fetch while the scheduler interns.
+    Pool(PersistentPool),
+}
+
+impl RoundRunner {
+    /// Fetch one round, running `overlap` on the scheduler thread between
+    /// dispatch and the round barrier.
+    fn run(
+        &self,
+        crawler: &Crawler,
+        round: &RoundDesc,
+        policy: &RetryPolicy,
+        stats: &CrawlStats,
+        round_span: u64,
+        overlap: impl FnOnce(),
+    ) -> Vec<RoundResult> {
+        match self {
+            RoundRunner::Serial => {
+                let results = crawler.run_round_serial(round, policy, stats, round_span);
+                overlap();
+                results
+            }
+            RoundRunner::Pool(pool) => {
+                let expected = pool.dispatch(&round.term_arc, round.locs, round_span);
+                overlap();
+                pool.collect(expected)
+            }
+        }
+    }
 }
 
 /// Job-identity context threaded into [`Crawler::fetch_job`] so the job's
@@ -433,9 +469,7 @@ impl Crawler {
     }
 
     /// Execute a plan on an explicit backend. Every backend produces a
-    /// byte-identical dataset; they differ only in wall-clock. The
-    /// [`CrawlBackend::SpawnPerRound`] variant exists so the bench harness
-    /// can measure the persistent pool against its predecessor.
+    /// byte-identical dataset; they differ only in wall-clock.
     pub fn run_with_backend(
         &self,
         plan: &ExperimentPlan,
@@ -464,7 +498,7 @@ impl Crawler {
     /// checkpoints, resume from a cursor, and an early-stop round count.
     ///
     /// Checkpoints are emitted at round boundaries with the world idle (the
-    /// pool backend drains its pipeline first), so a checkpoint at round N
+    /// round pipeline drains first), so a checkpoint at round N
     /// captures exactly the clock, network stream position, stats, and
     /// partial dataset an uninterrupted run has after N rounds — resuming
     /// it on a fresh same-seed world replays rounds N+1.. byte-identically,
@@ -608,8 +642,12 @@ impl Crawler {
         };
 
         std::thread::scope(|scope| {
-            let pool = (backend == CrawlBackend::WorkerPool)
-                .then(|| PersistentPool::start(scope, self, policy, &stats));
+            let runner = match backend {
+                CrawlBackend::Serial => RoundRunner::Serial,
+                CrawlBackend::WorkerPool => {
+                    RoundRunner::Pool(PersistentPool::start(scope, self, policy, &stats))
+                }
+            };
 
             // Reposition the virtual clock for a round: jump to the day
             // boundary at day starts (the schedule is strictly monotone, so
@@ -642,68 +680,43 @@ impl Crawler {
                 });
             };
 
-            if let Some(pool) = &pool {
-                // Pipelined: dispatch round N, then intern round N−1's URLs
-                // on the scheduler thread while the workers fetch N. The
-                // barrier before the clock advance keeps every fetch of a
-                // round at the same virtual instant.
-                let mut pending: Option<(&RoundDesc, Vec<RoundResult>)> = None;
-                for round in &rounds[start_round..] {
-                    // Checkpoints and stops happen with the pipeline
-                    // drained: absorb the in-flight round *before* this
-                    // round's dispatch would advance the clock and the
-                    // network's sequence counters past the boundary.
-                    let after_pending = completed_rounds + usize::from(pending.is_some());
-                    if after_pending >= stop_at || at_boundary(after_pending) {
-                        if let Some((prev, results)) = pending.take() {
-                            finish_round(prev, results, &mut dataset, &mut completed_rounds);
-                        }
-                        if at_boundary(completed_rounds) {
-                            emit(completed_rounds, &dataset, &stats);
-                        }
-                        if completed_rounds >= stop_at {
-                            break;
-                        }
-                    }
-                    position_clock(round);
-                    let round_start = self.net.clock().now().millis();
-                    let round_span = self.obs.spans().alloc_id();
-                    let expected = pool.dispatch(&round.term_arc, round.locs, round_span);
+            // Pipelined: fetch round N, and intern round N−1's URLs on the
+            // scheduler thread between dispatch and the barrier. Absorbing a
+            // round touches neither the clock nor the network, so the overlap
+            // cannot change a byte; the barrier before the clock advance
+            // keeps every fetch of a round at the same virtual instant.
+            let mut pending: Option<(&RoundDesc, Vec<RoundResult>)> = None;
+            for round in &rounds[start_round..] {
+                // Checkpoints and stops happen with the pipeline drained:
+                // absorb the in-flight round *before* this round's dispatch
+                // would advance the clock and the network's sequence
+                // counters past the boundary.
+                let after_pending = completed_rounds + usize::from(pending.is_some());
+                if after_pending >= stop_at || at_boundary(after_pending) {
                     if let Some((prev, results)) = pending.take() {
                         finish_round(prev, results, &mut dataset, &mut completed_rounds);
                     }
-                    let results = pool.collect(expected);
-                    advance_clock();
-                    self.record_round_span(round_span, round, round_start);
-                    pending = Some((round, results));
-                }
-                if let Some((prev, results)) = pending.take() {
-                    finish_round(prev, results, &mut dataset, &mut completed_rounds);
-                }
-            } else {
-                for round in &rounds[start_round..] {
-                    if completed_rounds >= stop_at {
-                        break;
-                    }
-                    position_clock(round);
-                    let round_start = self.net.clock().now().millis();
-                    let round_span = self.obs.spans().alloc_id();
-                    let results = match backend {
-                        CrawlBackend::Serial => {
-                            self.run_round_serial(round, policy, &stats, round_span)
-                        }
-                        CrawlBackend::SpawnPerRound => {
-                            self.run_round_spawning(round, policy, &stats, round_span)
-                        }
-                        CrawlBackend::WorkerPool => unreachable!("pool handled above"),
-                    };
-                    advance_clock();
-                    self.record_round_span(round_span, round, round_start);
-                    finish_round(round, results, &mut dataset, &mut completed_rounds);
                     if at_boundary(completed_rounds) {
                         emit(completed_rounds, &dataset, &stats);
                     }
+                    if completed_rounds >= stop_at {
+                        break;
+                    }
                 }
+                position_clock(round);
+                let round_start = self.net.clock().now().millis();
+                let round_span = self.obs.spans().alloc_id();
+                let results = runner.run(self, round, policy, &stats, round_span, || {
+                    if let Some((prev, results)) = pending.take() {
+                        finish_round(prev, results, &mut dataset, &mut completed_rounds);
+                    }
+                });
+                advance_clock();
+                self.record_round_span(round_span, round, round_start);
+                pending = Some((round, results));
+            }
+            if let Some((prev, results)) = pending.take() {
+                finish_round(prev, results, &mut dataset, &mut completed_rounds);
             }
         });
 
@@ -896,53 +909,6 @@ impl Crawler {
                 )
             })
             .collect()
-    }
-
-    /// One round on the pre-pool strategy: spawn a scoped thread per busy
-    /// machine, join at the round barrier. Benchmark baseline only.
-    fn run_round_spawning(
-        &self,
-        round: &RoundDesc,
-        policy: &RetryPolicy,
-        stats: &CrawlStats,
-        round_span: u64,
-    ) -> Vec<RoundResult> {
-        let total = round.locs.len() * 2;
-        // Group jobs by machine; one thread per machine keeps per-source
-        // request order (and therefore the noise draws) deterministic.
-        let mut by_machine: std::collections::BTreeMap<std::net::Ipv4Addr, Vec<usize>> =
-            std::collections::BTreeMap::new();
-        for index in 0..total {
-            by_machine
-                .entry(self.pool.assign(index))
-                .or_default()
-                .push(index);
-        }
-        let collected: Mutex<Vec<RoundResult>> = Mutex::new(Vec::with_capacity(total));
-        std::thread::scope(|scope| {
-            for (&machine, indices) in &by_machine {
-                let collected = &collected;
-                scope.spawn(move || {
-                    let mut local = Vec::with_capacity(indices.len());
-                    for &index in indices {
-                        let coord = round.locs[index / 2].coord;
-                        local.push((
-                            index,
-                            self.fetch_job(
-                                machine,
-                                &round.term.term,
-                                coord,
-                                policy,
-                                stats,
-                                JobCtx { index, round_span },
-                            ),
-                        ));
-                    }
-                    collected.lock().extend(local);
-                });
-            }
-        });
-        collected.into_inner()
     }
 
     /// One job: fresh browser, spoofed GPS, homepage + query, parse, retry
@@ -1269,16 +1235,9 @@ mod tests {
         let plan = quick_plan();
         let serial =
             Crawler::new(Seed::new(7)).run_with_backend(&plan, CrawlBackend::Serial, |_| {});
-        let spawning =
-            Crawler::new(Seed::new(7)).run_with_backend(&plan, CrawlBackend::SpawnPerRound, |_| {});
         let pooled =
             Crawler::new(Seed::new(7)).run_with_backend(&plan, CrawlBackend::WorkerPool, |_| {});
         assert_eq!(serial.to_json(), pooled.to_json(), "pool vs serial");
-        assert_eq!(
-            serial.to_json(),
-            spawning.to_json(),
-            "spawn-per-round vs serial"
-        );
     }
 
     #[test]
@@ -1349,11 +1308,7 @@ mod tests {
 
     #[test]
     fn stop_after_rounds_yields_exactly_that_many_rounds() {
-        for backend in [
-            CrawlBackend::Serial,
-            CrawlBackend::SpawnPerRound,
-            CrawlBackend::WorkerPool,
-        ] {
+        for backend in [CrawlBackend::Serial, CrawlBackend::WorkerPool] {
             let crawler = Crawler::new(Seed::new(2015));
             let opts = CrawlOptions::new(backend).stop_after_rounds(7);
             let ds = crawler

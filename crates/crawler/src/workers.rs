@@ -1,11 +1,8 @@
 //! The persistent crawl worker pool.
 //!
-//! §2.2 distributes the query load over 44 machines. Earlier versions of
-//! this crate spawned one OS thread per busy machine *per lock-step round*
-//! and tore them all down at the round barrier — up to 44 spawns × 3,600
-//! rounds on the full plan. `PersistentPool` instead starts one long-lived
-//! worker per machine for the duration of a run and feeds it rounds over a
-//! channel.
+//! §2.2 distributes the query load over 44 machines. `PersistentPool`
+//! starts one long-lived worker per machine for the duration of a run and
+//! feeds it rounds over a channel.
 //!
 //! Determinism: the scheduler partitions each round's jobs by machine with
 //! the same round-robin rule as the serial path
@@ -32,9 +29,6 @@ use std::thread::Scope;
 pub enum CrawlBackend {
     /// Every job runs in plan order on the scheduler thread.
     Serial,
-    /// The pre-pool strategy: spawn a scoped thread per busy machine every
-    /// round. Kept for benchmarking the pool against its predecessor.
-    SpawnPerRound,
     /// Persistent per-machine workers fed over channels, with the scheduler
     /// interning round N's results while the workers fetch round N+1.
     WorkerPool,

@@ -12,8 +12,8 @@
 //!    statically sharded by index (worker *w* takes every *n*-th task),
 //!    results are reassembled in index order. Because the shard function is
 //!    a pure function of the task index and results are placed by index,
-//!    the output is byte-identical for every worker count, including the
-//!    inline serial path.
+//!    the output is byte-identical for every worker count, including
+//!    inline execution.
 //!
 //! Determinism contract: nothing in this crate introduces ordering,
 //! timing, or RNG dependence. Callers must keep each task's computation a
@@ -34,39 +34,28 @@ pub enum Workers {
     Auto,
     /// Exactly this many workers (0 and 1 both mean inline execution).
     Fixed(usize),
-    /// The legacy single-threaded reference path — figures recompute every
-    /// comparison exactly as they did before the pool existed.
-    Serial,
 }
 
 impl Workers {
-    /// Parse a CLI value: `auto`, `serial`, or a worker count.
+    /// Parse a CLI value: `auto` or a worker count.
     pub fn parse(s: &str) -> Result<Workers, String> {
         match s {
             "auto" => Ok(Workers::Auto),
-            "serial" => Ok(Workers::Serial),
             n => n
                 .parse::<usize>()
                 .map(Workers::Fixed)
-                .map_err(|_| format!("expected auto|serial|N, got {n:?}")),
+                .map_err(|_| format!("expected auto|N, got {n:?}")),
         }
     }
 
-    /// The thread count this policy resolves to on this host (`Serial` → 0,
-    /// meaning "no pool at all").
+    /// The thread count this policy resolves to on this host.
     pub fn resolve(self) -> usize {
         match self {
-            Workers::Serial => 0,
             Workers::Fixed(n) => n,
             Workers::Auto => std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
         }
-    }
-
-    /// True for the legacy reference path.
-    pub fn is_serial(self) -> bool {
-        self == Workers::Serial
     }
 }
 
@@ -74,7 +63,6 @@ impl std::fmt::Display for Workers {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Workers::Auto => write!(f, "auto"),
-            Workers::Serial => write!(f, "serial"),
             Workers::Fixed(n) => write!(f, "{n}"),
         }
     }
@@ -93,11 +81,6 @@ impl DetPool {
         DetPool {
             workers: workers.resolve(),
         }
-    }
-
-    /// An inline (no threads) pool.
-    pub fn serial() -> Self {
-        DetPool { workers: 0 }
     }
 
     /// The resolved worker count.
@@ -294,21 +277,21 @@ mod tests {
     #[test]
     fn workers_parse_roundtrip() {
         assert_eq!(Workers::parse("auto"), Ok(Workers::Auto));
-        assert_eq!(Workers::parse("serial"), Ok(Workers::Serial));
         assert_eq!(Workers::parse("4"), Ok(Workers::Fixed(4)));
         assert!(Workers::parse("four").is_err());
-        for w in [Workers::Auto, Workers::Serial, Workers::Fixed(3)] {
+        assert_eq!(
+            Workers::parse("serial"),
+            Err("expected auto|N, got \"serial\"".to_string())
+        );
+        for w in [Workers::Auto, Workers::Fixed(3)] {
             assert_eq!(Workers::parse(&w.to_string()), Ok(w));
         }
     }
 
     #[test]
     fn workers_resolve() {
-        assert_eq!(Workers::Serial.resolve(), 0);
         assert_eq!(Workers::Fixed(5).resolve(), 5);
         assert!(Workers::Auto.resolve() >= 1);
-        assert!(Workers::Serial.is_serial());
-        assert!(!Workers::Auto.is_serial());
     }
 
     #[test]

@@ -1,12 +1,12 @@
-//! Integration: the serial-vs-parallel analysis differential battery.
+//! Integration: the analysis worker-count differential battery.
 //!
 //! The guarantee under test: `full_report_with_options` produces the SAME
-//! BYTES for every worker policy — `Serial` (the original single-threaded
-//! reference pipeline, no pair cache), `Fixed(1..=8)`, and `Auto` — on the
-//! quick and medium plans, on a checkpoint-resumed dataset, and with
-//! observability instrumentation attached. A committed golden digest
-//! additionally pins the quick-plan report bytes, so a "both paths drifted
-//! together" regression cannot hide behind the self-consistency checks.
+//! BYTES for every worker policy — `Fixed(1)` (everything inline, the
+//! reference), `Fixed(2..=8)`, and `Auto` — on the quick and medium plans,
+//! on a checkpoint-resumed dataset, and with observability instrumentation
+//! attached. A committed golden digest additionally pins the quick-plan
+//! report bytes, so a "every worker count drifted together" regression
+//! cannot hide behind the self-consistency checks.
 
 use geoserp::analysis::significance::{personalization_significance, significance_cell};
 use geoserp::crawler::{fnv1a64, CrawlBackend, CrawlCheckpoint, CrawlOptions, Crawler};
@@ -15,7 +15,7 @@ use geoserp::prelude::*;
 use geoserp::report::full_report_with_options;
 use std::cell::RefCell;
 
-/// FNV-1a digest of the serial quick-plan report. If this moves, analysis
+/// FNV-1a digest of the quick-plan report. If this moves, analysis
 /// output changed for every consumer — figure values, table layout, or
 /// significance seeds. Update it only for an intentional analysis change.
 const QUICK_REPORT_DIGEST: u64 = 0x5467_fdd2_5aa6_1844;
@@ -52,18 +52,19 @@ fn report(ds: &Dataset, workers: Workers) -> String {
     full_report_with_options(ds, None, &options)
 }
 
-/// The battery core: serial vs every pooled worker count, byte for byte.
+/// The battery core: one inline worker vs every pooled worker count, byte
+/// for byte.
 fn assert_identical_across_worker_counts(ds: &Dataset, label: &str) {
-    let serial = report(ds, Workers::Serial);
-    for n in [1usize, 2, 3, 8] {
+    let inline = report(ds, Workers::Fixed(1));
+    for n in [0usize, 2, 3, 8] {
         let pooled = report(ds, Workers::Fixed(n));
         assert_eq!(
-            serial, pooled,
+            inline, pooled,
             "{label}: report bytes diverged at {n} workers"
         );
     }
     let auto = report(ds, Workers::Auto);
-    assert_eq!(serial, auto, "{label}: report bytes diverged under Auto");
+    assert_eq!(inline, auto, "{label}: report bytes diverged under Auto");
 }
 
 #[test]
@@ -81,9 +82,9 @@ fn medium_plan_report_is_byte_identical_across_worker_counts() {
 #[test]
 fn quick_plan_report_matches_committed_digest() {
     let ds = dataset(&quick_plan(), 2015);
-    let serial = report(&ds, Workers::Serial);
+    let inline = report(&ds, Workers::Fixed(1));
     assert_eq!(
-        fnv1a64(serial.as_bytes()),
+        fnv1a64(inline.as_bytes()),
         QUICK_REPORT_DIGEST,
         "quick-plan report bytes drifted from the committed golden digest"
     );
@@ -119,8 +120,8 @@ fn checkpoint_resumed_dataset_reports_identically() {
         "resume-equivalence precondition"
     );
 
-    let reference = report(&uninterrupted, Workers::Serial);
-    for workers in [Workers::Serial, Workers::Fixed(2), Workers::Fixed(8)] {
+    let reference = report(&uninterrupted, Workers::Fixed(1));
+    for workers in [Workers::Fixed(1), Workers::Fixed(2), Workers::Fixed(8)] {
         assert_eq!(
             reference,
             report(&resumed, workers),
@@ -132,12 +133,12 @@ fn checkpoint_resumed_dataset_reports_identically() {
 #[test]
 fn instrumented_parallel_report_matches_and_records_pool_metrics() {
     let ds = dataset(&quick_plan(), 2015);
-    let serial = report(&ds, Workers::Serial);
+    let inline = report(&ds, Workers::Fixed(1));
 
     let hub = ObsHub::new();
     let options = AnalysisOptions::fixed(3);
     let instrumented = full_report_with_options(&ds, Some(&hub), &options);
-    assert_eq!(serial, instrumented, "instrumentation changed report bytes");
+    assert_eq!(inline, instrumented, "instrumentation changed report bytes");
 
     let snap = hub.snapshot();
     assert!(

@@ -13,11 +13,7 @@ use geoserp::prelude::*;
 use proptest::prelude::*;
 use std::cell::RefCell;
 
-const BACKENDS: [CrawlBackend; 3] = [
-    CrawlBackend::Serial,
-    CrawlBackend::SpawnPerRound,
-    CrawlBackend::WorkerPool,
-];
+const BACKENDS: [CrawlBackend; 2] = [CrawlBackend::Serial, CrawlBackend::WorkerPool];
 
 /// 9 rounds × 4 jobs: small enough to kill at every single round.
 fn small_plan() -> ExperimentPlan {
@@ -190,7 +186,7 @@ proptest! {
         corrupt_i in 0usize..3,
         kill in 1usize..9,
         every in 1usize..4,
-        backend_i in 0usize..3,
+        backend_i in 0usize..BACKENDS.len(),
     ) {
         let plan = small_plan();
         let backend = BACKENDS[backend_i];

@@ -23,11 +23,7 @@ use geoserp::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-const BACKENDS: [CrawlBackend; 3] = [
-    CrawlBackend::Serial,
-    CrawlBackend::SpawnPerRound,
-    CrawlBackend::WorkerPool,
-];
+const BACKENDS: [CrawlBackend; 2] = [CrawlBackend::Serial, CrawlBackend::WorkerPool];
 
 /// 18 rounds × 6 jobs — the same shape the checkpoint battery uses.
 fn quick_plan() -> ExperimentPlan {
@@ -129,14 +125,12 @@ fn chrome_trace_is_byte_identical_across_backends() {
     serde_json::from_str::<serde_json::Value>(&reference)
         .expect("chrome trace is well-formed JSON");
 
-    for backend in [CrawlBackend::SpawnPerRound, CrawlBackend::WorkerPool] {
-        let (_, other) = instrumented_run(2015, &plan, backend);
-        assert_eq!(
-            reference,
-            to_chrome_trace(&other.spans().snapshot()),
-            "{backend:?}: exported trace diverged from serial"
-        );
-    }
+    let (_, pooled) = instrumented_run(2015, &plan, CrawlBackend::WorkerPool);
+    assert_eq!(
+        reference,
+        to_chrome_trace(&pooled.spans().snapshot()),
+        "worker pool: exported trace diverged from serial"
+    );
 }
 
 #[test]
@@ -148,16 +142,14 @@ fn deterministic_metric_snapshots_agree_across_backends() {
         !reference.counters.is_empty(),
         "instrumented run registers counters"
     );
-    for backend in [CrawlBackend::SpawnPerRound, CrawlBackend::WorkerPool] {
-        let (_, other) = instrumented_run(2015, &plan, backend);
-        let snap = other.snapshot().deterministic();
-        assert_eq!(reference.counters, snap.counters, "{backend:?} counters");
-        assert_eq!(reference.gauges, snap.gauges, "{backend:?} gauges");
-        assert_eq!(
-            reference.histograms, snap.histograms,
-            "{backend:?} histograms"
-        );
-    }
+    let (_, pooled) = instrumented_run(2015, &plan, CrawlBackend::WorkerPool);
+    let snap = pooled.snapshot().deterministic();
+    assert_eq!(reference.counters, snap.counters, "worker-pool counters");
+    assert_eq!(reference.gauges, snap.gauges, "worker-pool gauges");
+    assert_eq!(
+        reference.histograms, snap.histograms,
+        "worker-pool histograms"
+    );
 }
 
 #[test]

@@ -14,6 +14,7 @@ use geoserp::analysis::{
     component_attribution, fig2_noise, fig4_noise_by_type, fig5_personalization,
     fig7_personalization_by_type, ObsIndex,
 };
+use geoserp::metrics;
 use geoserp::prelude::*;
 
 const GRANULARITIES: [Granularity; 3] = [
@@ -246,7 +247,9 @@ fn per_component_rows_reduce_to_maps_news_on_paper_data() {
     }
 
     // Pair-by-pair bit-identity between the legacy two-label kernel and
-    // the widened one, over every comparison discipline.
+    // the widened one, over every comparison discipline — and between the
+    // index's cached id-based answers and the string kernels of
+    // `geoserp::metrics` over the same pages' URL lists.
     for g in GRANULARITIES {
         for c in CATEGORIES {
             let check = |a: &_, b: &_| {
@@ -255,6 +258,21 @@ fn per_component_rows_reduce_to_maps_news_on_paper_data() {
                 assert_eq!((t, m, n), (t_meta, meta[0], meta[1]));
                 assert_eq!(meta[2..], [0, 0, 0, 0], "rich sublists are empty");
                 assert_eq!(residual, o, "residuals coincide when rich is zero");
+
+                let (ua, ub) = (idx.urls(a), idx.urls(b));
+                let (jaccard, edit) =
+                    (metrics::jaccard(&ua, &ub), metrics::edit_distance(&ua, &ub));
+                assert_eq!(idx.pair_urls_stat(a, b), (jaccard, edit as f64));
+                assert_eq!(idx.pair_edit(a, b), edit as f64);
+                assert_eq!(idx.pair_jaccard(a, b), jaccard);
+                let (ta, tb) = (idx.typed(a), idx.typed(b));
+                let two = metrics::attribution(&ta, &tb, &ResultType::Maps, &ResultType::News);
+                assert_eq!((t, m, n, o), (two.total, two.maps, two.news, two.other));
+                let by = metrics::attribution_by(&ta, &tb, &ResultType::META);
+                assert_eq!(
+                    (t_meta, &meta[..], residual),
+                    (by.total, &by.by_type[..], by.other)
+                );
             };
             idx.for_each_noise_pair(g, c, &check);
             idx.for_each_treatment_pair(g, c, check);
