@@ -28,7 +28,8 @@
 //! ([`shard::ShardService`]), with a router front-end whose engine
 //! retrieves through a scatter-gather [`router::RemoteRetriever`]
 //! (consistent-hash replica placement, hedged requests on slow replicas,
-//! ring-order retries on dead ones). Routed pages stay byte-identical to
+//! ring-order retries on dead ones, pooled keep-alive shard connections
+//! driven by the serving thread itself). Routed pages stay byte-identical to
 //! the single-process server's — the differential battery in
 //! `tests/sharded_equivalence.rs` proves it cell by cell.
 //!

@@ -108,7 +108,9 @@ impl TimerWheel {
                 }
             }
         }
-        self.cursor = now_tick + 1;
+        // The current tick stays under the cursor: its entries due later
+        // in this tick must be visited again by the next call.
+        self.cursor = now_tick;
     }
 }
 
@@ -131,6 +133,14 @@ mod tests {
         assert_eq!(fired.len(), 1);
         assert_eq!(fired[0].token, 1);
         assert!(wheel.is_empty());
+    }
+
+    #[test]
+    fn a_deadline_later_in_the_current_tick_fires_in_that_tick() {
+        let mut wheel = TimerWheel::new(10, 8);
+        wheel.insert(105, 1, 1);
+        assert!(drain(&mut wheel, 101).is_empty(), "not due yet");
+        assert_eq!(drain(&mut wheel, 110).len(), 1, "not stranded a rotation");
     }
 
     #[test]
@@ -185,8 +195,6 @@ mod tests {
         wheel.expire(500, &mut out); // move the cursor forward first
         wheel.insert(100, 1, 1); // already past
         wheel.expire(500, &mut out);
-        assert!(out.is_empty(), "same-tick cursor already consumed");
-        wheel.expire(510, &mut out);
-        assert_eq!(out.len(), 1, "next tick sweeps the stale slot");
+        assert_eq!(out.len(), 1, "the cursor's own tick is swept again");
     }
 }
