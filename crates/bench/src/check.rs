@@ -9,8 +9,8 @@
 //!   baseline, or — where the baseline p99 is at least 1 ms, below which
 //!   CI scheduler jitter swamps the signal — on p99 above 125% of
 //!   baseline. Because single cells on shared runners are noisy (the
-//!   overloaded blocking slow-client cell especially: its latency is
-//!   queueing-dominated and bimodal), up to `min(2, cells/4)` regressed
+//!   slow-client and routed cells especially: their tails are
+//!   queueing-dominated), up to `min(2, cells/4)` regressed
 //!   cells are reported as noise warnings; a *real* serve-path regression
 //!   (an extra syscall, a lost fast path) moves most cells at once and
 //!   trips the allowance. New errors in any cell, and a baseline cell
@@ -492,10 +492,10 @@ mod tests {
     fn new_errors_and_missing_cells_fail() {
         let base = matrix(vec![
             cell("epoll", 40_000.0, 2_000, 0),
-            cell("blocking", 40_000.0, 2_000, 0),
+            cell("router", 40_000.0, 2_000, 0),
         ]);
         let broken = matrix(vec![cell("epoll", 40_000.0, 2_000, 3)]);
-        // One error regression + one missing blocking cell.
+        // One error regression + one missing router cell.
         assert_eq!(failed(&check_serve(&broken, &base)), 2);
     }
 

@@ -128,14 +128,13 @@ COMMANDS:
     serve        serve the search engine over real TCP sockets (the same
                  engine the simulator runs; pages are byte-identical)
                    --addr A        bind address          [127.0.0.1:8080]
-                   --backend B     serving core: epoll (event loop) or
-                                   blocking (thread pool)  [epoll]
-                   --workers N     worker threads        [4]
+                   --workers N     event-loop threads    [4]
                    --keep-alive B  true|false            [true]
                    --max-body N    request body limit, bytes [1048576]
                    --seed N        world seed            [2015]
                    --day D         virtual day served    [0]
-                   --queue-depth N accept queue depth    [64]
+                   --queue-depth N admission slack: open connections
+                                   beyond --workers before 503s [64]
                    --rate-limit N  serve-layer per-IP requests/min [100000]
                    --index I       exact|compressed index backend; served
                                    pages are byte-identical [compressed]
@@ -171,8 +170,9 @@ COMMANDS:
                    --concurrency C client threads        [4]
                    --keep-alive B  true|false            [true]
                    --query Q       search term           [Coffee]
-                   --matrix        sweep backend x worker counts x keep-alive
-                                   against in-process servers on ephemeral
+                   --matrix        sweep worker counts x keep-alive x load
+                                   shape, then router topologies, against
+                                   in-process servers on ephemeral
                                    ports (engine result cache enabled so the
                                    sweep measures serving mechanics)
                    --workers LIST  (matrix) comma-separated counts [1,4]
@@ -672,6 +672,28 @@ fn get_bool(args: &ParsedArgs, flag: &str, default: bool) -> Result<bool, CliErr
     }
 }
 
+/// The value flags `serve` and `router` accept.
+pub(crate) const SERVE_FLAGS: &[&str] = &[
+    "addr",
+    "workers",
+    "keep-alive",
+    "max-body",
+    "seed",
+    "day",
+    "queue-depth",
+    "rate-limit",
+    "shards",
+    "replicas",
+    "hedge-ms",
+    "trace-out",
+    "index",
+    "corpus-scale",
+    "components",
+];
+
+/// The switches `serve` and `router` accept.
+pub(crate) const SERVE_SWITCHES: &[&str] = &["smoke", "no-tracing"];
+
 /// Parse the socket-layer flags shared by `serve` and `router` into a
 /// seed, a [`ServeConfig`], and the bind address. The engine's own per-IP
 /// limit models Google throttling distinct crawler machines; behind one
@@ -684,11 +706,6 @@ fn serve_setup_from(
     use geoserp_core::serve::ServeConfig;
     let seed = args.get_u64("seed", 2015)?;
     let addr = args.get("addr").unwrap_or("127.0.0.1:8080").to_string();
-    let backend: geoserp_core::serve::ServeBackend = args
-        .get("backend")
-        .unwrap_or("epoll")
-        .parse()
-        .map_err(|e: String| CliError::Invalid(format!("--backend: {e}")))?;
     let workers = args.get_usize("workers", 4)?;
     let keep_alive = get_bool(args, "keep-alive", true)?;
     let max_body = args.get_usize("max-body", 1024 * 1024)?;
@@ -703,7 +720,6 @@ fn serve_setup_from(
         ));
     }
     let config = ServeConfig::new()
-        .backend(backend)
         .workers(workers)
         .keep_alive(keep_alive)
         .queue_depth(queue_depth)
@@ -1432,32 +1448,10 @@ mod tests {
         assert!(out.contains("overall:"));
     }
 
-    /// Parse a `serve`/`router` command line with the full flag grammar
-    /// `main` uses.
+    /// Parse a `serve`/`router` command line with the flag grammar `main`
+    /// uses.
     fn serve_args(s: &str) -> ParsedArgs {
-        parse(
-            &argv(s),
-            &[
-                "addr",
-                "backend",
-                "workers",
-                "keep-alive",
-                "max-body",
-                "seed",
-                "day",
-                "queue-depth",
-                "rate-limit",
-                "shards",
-                "replicas",
-                "hedge-ms",
-                "trace-out",
-                "index",
-                "corpus-scale",
-                "components",
-            ],
-            &["smoke", "no-tracing"],
-        )
-        .unwrap()
+        parse(&argv(s), SERVE_FLAGS, SERVE_SWITCHES).unwrap()
     }
 
     #[test]

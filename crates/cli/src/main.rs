@@ -8,7 +8,7 @@ mod commands;
 
 use commands::{
     cmd_analyze, cmd_compare, cmd_export, cmd_loadgen, cmd_probe, cmd_report, cmd_router, cmd_run,
-    cmd_serve, cmd_trace, cmd_validate, CliError, HELP,
+    cmd_serve, cmd_trace, cmd_validate, CliError, HELP, SERVE_FLAGS, SERVE_SWITCHES,
 };
 
 fn dispatch(argv: &[String]) -> Result<String, CliError> {
@@ -65,28 +65,7 @@ fn dispatch(argv: &[String]) -> Result<String, CliError> {
             cmd_export(&p)
         }
         "serve" | "router" => {
-            let p = args::parse(
-                argv,
-                &[
-                    "addr",
-                    "backend",
-                    "workers",
-                    "keep-alive",
-                    "max-body",
-                    "seed",
-                    "day",
-                    "queue-depth",
-                    "rate-limit",
-                    "shards",
-                    "replicas",
-                    "hedge-ms",
-                    "trace-out",
-                    "index",
-                    "corpus-scale",
-                    "components",
-                ],
-                &["smoke", "no-tracing"],
-            )?;
+            let p = args::parse(argv, SERVE_FLAGS, SERVE_SWITCHES)?;
             if command == "router" {
                 cmd_router(&p)
             } else {
@@ -155,5 +134,9 @@ mod tests {
     fn unknown_flag_fails_fast() {
         let err = dispatch(&argv("probe Coffee --seeed 1")).unwrap_err();
         assert!(err.to_string().contains("--seeed"));
+        // A removed flag is rejected before any server starts, not ignored.
+        let err =
+            dispatch(&argv("serve --backend blocking --smoke --addr 127.0.0.1:0")).unwrap_err();
+        assert!(err.to_string().contains("--backend"), "{err}");
     }
 }

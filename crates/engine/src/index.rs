@@ -769,14 +769,6 @@ impl SearchIndex {
         }
     }
 
-    /// Which backend this index is.
-    pub fn backend(&self) -> IndexBackend {
-        match self {
-            SearchIndex::Exact(_) => IndexBackend::Exact,
-            SearchIndex::Compressed(_) => IndexBackend::Compressed,
-        }
-    }
-
     /// Number of indexed pages.
     pub fn page_count(&self) -> usize {
         match self {
@@ -1076,8 +1068,8 @@ mod tests {
         let c = corpus();
         let exact = SearchIndex::build(&c, IndexBackend::Exact);
         let comp = SearchIndex::build(&c, IndexBackend::Compressed);
-        assert_eq!(exact.backend(), IndexBackend::Exact);
-        assert_eq!(comp.backend(), IndexBackend::Compressed);
+        assert!(matches!(exact, SearchIndex::Exact(_)));
+        assert!(matches!(comp, SearchIndex::Compressed(_)));
         assert_eq!(exact.page_count(), comp.page_count());
         assert_eq!(exact.df("school"), comp.df("school"));
         assert_eq!(

@@ -7,7 +7,7 @@
 //! number (`src_ip << 32 | counter`, the same seq the engine's noise model
 //! keys on), never from clocks or allocation order. Span IDs are hashes of
 //! the context and a stable label, so they are globally unique across
-//! processes **and** byte-stable across runs and serve backends — which is
+//! processes **and** byte-stable across runs — which is
 //! what lets trace assembly be a plain concatenate-sort-renumber, with
 //! causal parent links that survive process boundaries with no rewrite
 //! machinery.
@@ -172,8 +172,7 @@ pub struct TraceContext {
 impl TraceContext {
     /// Root context for a request with sequence number `seq`. Both the
     /// trace ID and the root span ID are pure functions of `seq`, so two
-    /// runs (or two serve backends) that assign the same sequence numbers
-    /// produce identical traces.
+    /// runs that assign the same sequence numbers produce identical traces.
     pub fn root(seq: u64) -> TraceContext {
         let trace = mix(seq ^ TRACE_SALT);
         TraceContext {
@@ -466,7 +465,7 @@ fn depth_of(span: &SpanDto, by_id: &HashMap<u64, &SpanDto>) -> u32 {
 /// then renumbered from 1 in sorted order, exactly like
 /// [`crate::export::to_chrome_trace`], with parent links (including
 /// cross-process ones) rewritten through the same mapping. Byte-identical
-/// for virtually-identical runs regardless of serve backend.
+/// for virtually-identical runs regardless of socket timing.
 pub fn assemble_chrome_trace(processes: &[ProcessSpans]) -> String {
     let mut order: Vec<&ProcessSpans> = processes.iter().collect();
     order.sort_by(|a, b| a.process.cmp(&b.process));

@@ -1,4 +1,4 @@
-//! Allocation helpers for the event-loop backend: a per-loop buffer pool
+//! Allocation helpers for the event loop: a per-loop buffer pool
 //! for the read/write hot path and a minimal slab for connection slots.
 //!
 //! Both are single-threaded by construction (each event loop owns its own

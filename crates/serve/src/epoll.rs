@@ -4,11 +4,11 @@
 //! # Architecture
 //!
 //! Loop 0 owns the listener. Accepted connections are admitted against a
-//! shared in-flight bound (`workers + queue_depth`, the blocking core's
-//! holding capacity) — beyond it they are shed with a `503` written
-//! nonblocking, so a stalled peer can never hold up the accept path — and
-//! distributed round-robin across the loops via lock-guarded inboxes plus
-//! an eventfd [`Waker`] per loop.
+//! shared in-flight bound of `workers + queue_depth` open connections —
+//! beyond it they are shed with a `503` written nonblocking, so a stalled
+//! peer can never hold up the accept path — and distributed round-robin
+//! across the loops via lock-guarded inboxes plus an eventfd [`Waker`] per
+//! loop.
 //!
 //! Each loop owns its connections outright: a [`Slab`] keyed by epoll
 //! token, a [`BufferPool`] so the steady-state hot path allocates nothing,
@@ -96,8 +96,8 @@ struct Conn {
     written: usize,
     /// Queued *routed* responses as `(end offset in write_buf, trace
     /// context, queued-at instant)`, end offsets ascending
-    /// (`serve.responses` counts a response when its last byte reaches the
-    /// socket, matching the blocking core's count-after-write; the flush
+    /// (`serve.responses` counts a response only once its last byte has
+    /// been written to the socket, never when it is queued; the flush
     /// stage span is recorded at the same point).
     resp_ends: Vec<(usize, Option<TraceContext>, Instant)>,
     /// Queue-wait clock for the request in flight: the accept instant,
@@ -158,16 +158,15 @@ enum Fill {
 /// Event-loop join handles plus one shutdown waker per loop.
 pub(crate) type LoopHandles = (Vec<JoinHandle<()>>, Vec<Arc<Waker>>);
 
-/// Spawn the event loops. Returns their join handles and one waker per
-/// loop (used by [`crate::SocketServer`] to signal shutdown).
+/// Spawn `shared.config.workers` event loops. Returns their join handles
+/// and one waker per loop (used by [`crate::SocketServer`] to signal
+/// shutdown).
 pub(crate) fn start(
     shared: Arc<Shared>,
     listener: std::net::TcpListener,
-    workers: usize,
-    queue_depth: usize,
 ) -> std::io::Result<LoopHandles> {
-    let nloops = workers.max(1);
-    let capacity = nloops + queue_depth.max(1);
+    let nloops = shared.config.workers.max(1);
+    let capacity = nloops + shared.config.queue_depth.max(1);
     let open = Arc::new(AtomicUsize::new(0));
 
     let mut seeds = Vec::with_capacity(nloops);
@@ -387,8 +386,9 @@ impl EventLoop {
         consumed
     }
 
-    /// After EOF: answer a trailing half-request with `400` (mirroring the
-    /// blocking core) and mark the connection to close once flushed.
+    /// After EOF: answer a trailing half-request with a `400` ("connection
+    /// closed mid-request", counted in `serve.bad_requests`) and mark the
+    /// connection to close once flushed.
     fn finish_eof(&mut self, key: usize) {
         let leftover = match self.conns.get_mut(key) {
             Some(c) if c.eof => {
@@ -599,11 +599,10 @@ impl EventLoop {
                     if self.draining {
                         continue; // dropping the socket refuses the peer
                     }
-                    // Mirror the blocking core's counting: the capacity
-                    // check stands in for its bounded accept queue, so shed
-                    // connections are never counted as `serve.connections`
-                    // (only connections a worker would have picked up are —
-                    // including IPv6 ones it then rejects).
+                    // Every connect is counted exactly once: shed ones in
+                    // `serve.rejected_busy` only, admitted ones in
+                    // `serve.connections` (IPv6 peers included — they pass
+                    // admission and are then rejected with a typed `400`).
                     if self.open.load(Ordering::SeqCst) >= self.capacity {
                         self.shared.metrics.rejected_busy.inc();
                         best_effort_write(stream, &shed_response());

@@ -3,12 +3,10 @@
 //!
 //! Everything else in geoserp runs against the in-process simulated network
 //! ([`geoserp_net::SimNet`]). This crate puts the *same* [`SearchService`]
-//! behind real TCP sockets, with two selectable serving cores
-//! ([`ServeBackend`]): the default readiness-based **epoll event loop**
-//! (nonblocking state machines, pooled buffers, a hashed timer wheel for
-//! idle/write deadlines) and the reference **blocking worker pool** (accept
-//! loop feeding a bounded queue). Both provide keep-alive, read/write
-//! timeouts, request-size limits, a serve-layer per-IP rate limiter, `503`
+//! behind real TCP sockets, served by a readiness-based **epoll event
+//! loop** (nonblocking state machines, pooled buffers, a hashed timer wheel
+//! for idle/write deadlines). It provides keep-alive, read/write timeouts,
+//! request-size limits, a serve-layer per-IP rate limiter, `503`
 //! load-shedding at the admission bound, and graceful shutdown that drains
 //! in-flight connections. `/healthz` answers liveness probes and `/metrics`
 //! exposes the shared [`geoserp_obs::ObsHub`] in Prometheus text format.
@@ -22,7 +20,7 @@
 //!
 //! # Sharded serving
 //!
-//! The same socket cores also power a multi-process topology
+//! The same socket server also powers a multi-process topology
 //! ([`ShardedCluster`]): the corpus splits into contiguous index shards
 //! ([`topology::ShardPlan`]), each served by M replica processes
 //! ([`shard::ShardService`]), with a router front-end whose engine
@@ -55,6 +53,6 @@ pub mod topology;
 
 pub use loadgen::{LoadgenConfig, LoadgenReport, MatrixEntry, MatrixReport};
 pub use router::{ClusterConfig, DelayServer, RemoteRetriever, ShardedCluster};
-pub use server::{ServeBackend, ServeConfig, ServedWorld, SocketServer, DAY_MS};
+pub use server::{ServeConfig, ServedWorld, SocketServer, DAY_MS};
 pub use shard::ShardService;
 pub use topology::{HashRing, ShardPlan};

@@ -122,10 +122,12 @@ pub struct LoadgenReport {
     pub p99_us: u64,
 }
 
-/// One cell of the backend × worker-count × load-shape sweep.
+/// One cell of the worker-count × load-shape sweep.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MatrixEntry {
-    /// Serving core for this cell (`"blocking"` or `"epoll"`).
+    /// Serving path for this cell: `"epoll"` (the event loop serves the
+    /// engine directly) or `"router"` (through the sharded tier). Part of
+    /// the `BENCH_serve.json` cell key.
     pub backend: String,
     /// Server worker threads for this cell.
     pub workers: usize,
@@ -356,7 +358,7 @@ pub fn run(addr: &str, cfg: &LoadgenConfig) -> std::io::Result<LoadgenReport> {
     })
 }
 
-/// Sweep backend × worker counts × keep-alive against in-process servers on
+/// Sweep worker counts × load shape against in-process servers on
 /// ephemeral loopback ports, one world shared across cells. The engine's
 /// own per-IP rate limit is raised far above the offered load (every
 /// loadgen client shares the loopback source IP; the paper's 30/min limit
@@ -378,32 +380,26 @@ pub fn run_matrix(
     // entry point shares it; the result cache is the bench-only addition.
     let config = ServeConfig::new().engine_config(EngineConfig::with_result_cache(3_600_000));
     let world = ServedWorld::build(seed, config.clone()).map_err(|e| e.to_string())?;
+    // Unrecorded warm-up: one slow-client pass at the widest worker count
+    // grows the process's fd table and thread-stack cache to the sweep's
+    // peak. Without it, the first measured cell to hold that many sockets
+    // pays the one-time kernel fd-table growth inside its latency tail.
+    if let Some(&widest) = worker_counts.iter().max() {
+        run_cell(&world, widest, &slow_client_load(widest))?;
+    }
     let mut entries = Vec::new();
-    for backend in crate::ServeBackend::ALL {
-        for &workers in worker_counts {
-            // Firehose cells: zero think time, keep-alive on/off. On one
-            // core both backends saturate the CPU, so these mostly pin
-            // per-request overhead and connection-setup cost.
-            for keep_alive in [true, false] {
-                let cfg = LoadgenConfig::new()
-                    .requests(requests)
-                    .concurrency(concurrency)
-                    .keep_alive(keep_alive);
-                entries.push(run_cell(&world, backend, workers, &cfg)?);
-            }
-            // Slow-client cell: connections outnumber workers 8:1 and sit
-            // idle between requests while staying open — the C10K shape.
-            // The blocking core pins one worker per open connection, so it
-            // serves the clients in 8 sequential waves; the event loop
-            // multiplexes them all at once.
-            let clients = workers * 8;
+    for &workers in worker_counts {
+        // Firehose cells: zero think time, keep-alive on/off. The server
+        // saturates the CPU, so these mostly pin per-request overhead and
+        // connection-setup cost.
+        for keep_alive in [true, false] {
             let cfg = LoadgenConfig::new()
-                .requests(clients * 5)
-                .concurrency(clients)
-                .keep_alive(true)
-                .think_ms(SLOW_CLIENT_THINK_MS);
-            entries.push(run_cell(&world, backend, workers, &cfg)?);
+                .requests(requests)
+                .concurrency(concurrency)
+                .keep_alive(keep_alive);
+            entries.push(run_cell(&world, workers, &cfg)?);
         }
+        entries.push(run_cell(&world, workers, &slow_client_load(workers))?);
     }
     // Router cells: the same offered load through the sharded tier. The
     // 1x1 cell against the direct epoll cell above is the router's
@@ -434,9 +430,21 @@ pub fn run_matrix(
 /// cached service time, short enough to keep the sweep fast.
 const SLOW_CLIENT_THINK_MS: u64 = 20;
 
+/// The slow-client load for `workers` server threads: connections
+/// outnumber workers 8:1 and sit idle between requests while staying open
+/// — the C10K shape. Each event loop multiplexes all of its open
+/// connections at once.
+fn slow_client_load(workers: usize) -> LoadgenConfig {
+    let clients = workers * 8;
+    LoadgenConfig::new()
+        .requests(clients * 5)
+        .concurrency(clients)
+        .keep_alive(true)
+        .think_ms(SLOW_CLIENT_THINK_MS)
+}
+
 fn run_cell(
     world: &ServedWorld,
-    backend: crate::ServeBackend,
     workers: usize,
     cfg: &LoadgenConfig,
 ) -> Result<MatrixEntry, String> {
@@ -444,7 +452,6 @@ fn run_cell(
         "127.0.0.1:0",
         world,
         ServeConfig::new()
-            .backend(backend)
             .workers(workers)
             .keep_alive(cfg.keep_alive)
             .rate_limit(usize::MAX / 2, 60_000),
@@ -454,7 +461,7 @@ fn run_cell(
         run(&server.local_addr().to_string(), cfg).map_err(|e| format!("loadgen failed: {e}"))?;
     server.shutdown();
     Ok(MatrixEntry {
-        backend: backend.to_string(),
+        backend: "epoll".to_string(),
         workers,
         keep_alive: cfg.keep_alive,
         concurrency: cfg.concurrency,

@@ -1,24 +1,15 @@
 //! The TCP front end: one [`SearchService`] behind real sockets, speaking
-//! the `geoserp-net` wire codec, with two selectable serving cores.
+//! the `geoserp-net` wire codec on a readiness-based event loop (see
+//! [`crate::epoll`]): `workers` reactor threads, nonblocking
+//! accept/read/write state machines driven by the incremental
+//! [`parse_request`](geoserp_net::parse_request), pooled buffers, and a
+//! hashed timer wheel for idle/write deadlines.
 //!
-//! # Backends
-//!
-//! * [`ServeBackend::Epoll`] (default) — a readiness-based event loop (see
-//!   [`crate::epoll`]): `workers` reactor threads, nonblocking
-//!   accept/read/write state machines driven by the incremental
-//!   [`parse_request`], pooled buffers, a hashed timer wheel for idle/write
-//!   deadlines, and bounded in-flight admission with off-the-accept-path
-//!   `503` shedding.
-//! * [`ServeBackend::Blocking`] — the reference implementation: one accept
-//!   thread feeds accepted connections into a bounded queue; `workers`
-//!   threads drain it, each running a blocking keep-alive connection loop
-//!   with read/write timeouts. Kept byte-for-byte compatible with the event
-//!   loop (the e2e suite runs every contract test against both).
-//!
-//! Both cores shed load with `503` when their admission bound fills, apply
-//! the serve-layer per-IP rate limit (`429`), reject IPv6 peers with a
-//! typed `400` (the determinism contract is IPv4-only), and drain
-//! gracefully on shutdown.
+//! The server sheds load with `503` once `workers + queue_depth`
+//! connections are in flight (written off the accept path, so a stalled
+//! peer never holds it), applies the serve-layer per-IP rate limit
+//! (`429`), rejects IPv6 peers with a typed `400` (the determinism contract
+//! is IPv4-only), and drains gracefully on shutdown.
 //!
 //! # Determinism contract
 //!
@@ -42,85 +33,41 @@ use geoserp_engine::{ConfigError, EngineConfig, SearchEngine, SearchService};
 use geoserp_geo::{Seed, UsGeography};
 use geoserp_net::clock::SimInstant;
 use geoserp_net::{
-    encode_response, parse_request, RateLimitKey, RateLimiter, Request, RequestCtx, Response,
-    Server, Status, WireLimits, TRACE_HEADER,
+    encode_response, RateLimitKey, RateLimiter, Request, RequestCtx, Response, Server, Status,
+    WireLimits, TRACE_HEADER,
 };
 use geoserp_obs::trace::{self, Stage, TraceContext};
 use geoserp_obs::{Counter, ObsHub, SpanRecord};
 use parking_lot::Mutex;
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::io::{ErrorKind, Read, Write};
-use std::net::{IpAddr, Ipv4Addr, SocketAddr, TcpListener, TcpStream};
-use std::str::FromStr;
+use std::net::{Ipv4Addr, SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Milliseconds per simulation day (the engine's time granularity).
 pub const DAY_MS: u64 = 86_400_000;
-
-/// Which serving core [`SocketServer::start`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServeBackend {
-    /// Thread-per-connection worker pool behind a bounded accept queue
-    /// (the reference implementation).
-    Blocking,
-    /// Readiness-based epoll event loop (the default).
-    Epoll,
-}
-
-impl ServeBackend {
-    /// Every backend, for sweeps (benchmarks, differential tests).
-    pub const ALL: [ServeBackend; 2] = [ServeBackend::Blocking, ServeBackend::Epoll];
-}
-
-impl std::fmt::Display for ServeBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            ServeBackend::Blocking => "blocking",
-            ServeBackend::Epoll => "epoll",
-        })
-    }
-}
-
-impl FromStr for ServeBackend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<ServeBackend, String> {
-        match s {
-            "blocking" => Ok(ServeBackend::Blocking),
-            "epoll" => Ok(ServeBackend::Epoll),
-            other => Err(format!(
-                "unknown backend {other:?} (expected \"blocking\" or \"epoll\")"
-            )),
-        }
-    }
-}
 
 /// Tunables for [`SocketServer::start`]. Build with [`ServeConfig::new`] and
 /// adjust with the fluent setters.
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct ServeConfig {
-    /// Serving core to run.
-    pub backend: ServeBackend,
-    /// Blocking backend: worker threads draining the accept queue.
-    /// Epoll backend: event-loop (reactor) threads.
+    /// Event-loop (reactor) threads.
     pub workers: usize,
-    /// Admission bound. Blocking backend: accepted connections that may
-    /// wait for a worker before the accept thread sheds load with `503`s.
-    /// Epoll backend: open connections beyond `workers` admitted before
-    /// shedding (total in-flight bound is `workers + queue_depth`, the
-    /// blocking core's holding capacity).
+    /// Admission slack: open connections admitted beyond `workers` before
+    /// new ones are shed with `503`s. The in-flight bound is
+    /// `workers + queue_depth`.
     pub queue_depth: usize,
     /// Serve multiple requests per connection.
     pub keep_alive: bool,
-    /// Per-read socket timeout; also bounds how long an idle keep-alive
-    /// connection is held open.
+    /// Read deadline: how long a connection may wait for request bytes
+    /// (an idle keep-alive connection included) before it is closed.
     pub read_timeout_ms: u64,
-    /// Per-write socket timeout (the write deadline in the event loop).
+    /// Write deadline: how long a stalled response flush may wait for the
+    /// peer to drain it before the connection is closed.
     pub write_timeout_ms: u64,
     /// Wire-level size limits (head bytes, body bytes, header count).
     pub limits: WireLimits,
@@ -147,12 +94,11 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// Defaults: epoll backend, 4 workers, queue of 64, keep-alive on, 5 s
+    /// Defaults: 4 workers, admission slack of 64, keep-alive on, 5 s
     /// timeouts, default wire limits, a permissive serve-layer rate limit
     /// (100 000/min — the engine's own per-IP limiter is separate), day 0.
     pub fn new() -> Self {
         ServeConfig {
-            backend: ServeBackend::Epoll,
             workers: 4,
             queue_depth: 64,
             keep_alive: true,
@@ -168,19 +114,13 @@ impl ServeConfig {
         }
     }
 
-    /// Select the serving core.
-    pub fn backend(mut self, backend: ServeBackend) -> Self {
-        self.backend = backend;
-        self
-    }
-
     /// Set the worker-thread count (clamped to ≥ 1 at start).
     pub fn workers(mut self, n: usize) -> Self {
         self.workers = n;
         self
     }
 
-    /// Set the accept-queue depth / admission slack (clamped to ≥ 1).
+    /// Set the admission slack beyond `workers` (clamped to ≥ 1).
     pub fn queue_depth(mut self, n: usize) -> Self {
         self.queue_depth = n;
         self
@@ -386,7 +326,7 @@ pub(crate) fn shed_response() -> Response {
     Response::status(Status::ServiceUnavailable).with_header("X-Reason", "accept queue full")
 }
 
-/// State shared by every serving thread of one server, either backend.
+/// State shared by every event loop of one server.
 pub(crate) struct Shared {
     pub(crate) service: Arc<dyn Server>,
     pub(crate) hub: Arc<ObsHub>,
@@ -517,164 +457,18 @@ pub(crate) fn encode_or_bare(resp: &Response) -> Vec<u8> {
         .expect("bare status responses always encode")
 }
 
-/// Encode and write one response on a blocking stream.
-fn write_response(stream: &mut TcpStream, resp: &Response) -> std::io::Result<()> {
-    stream.write_all(&encode_or_bare(resp))?;
-    stream.flush()
-}
-
-/// One blocking connection's lifecycle: keep-alive parse/serve loop with
-/// socket timeouts. `accepted` is when the listener handed us the stream —
-/// the start of the first request's queue-wait stage.
-fn serve_connection(shared: &Shared, mut stream: TcpStream, accepted: Instant) {
-    shared.metrics.connections.inc();
-    let src = match stream.peer_addr() {
-        Ok(a) => match a.ip() {
-            IpAddr::V4(v4) => v4,
-            IpAddr::V6(_) => {
-                // The determinism contract is IPv4-only: reject with a
-                // typed reason instead of silently collapsing every IPv6
-                // client onto one sequence counter and rate-limit bucket.
-                shared.metrics.bad_requests.inc();
-                let _ = stream.set_write_timeout(Some(Duration::from_millis(
-                    shared.config.write_timeout_ms.max(1),
-                )));
-                let _ = write_response(&mut stream, &ipv6_reject_response());
-                return;
-            }
-        },
-        Err(_) => return,
-    };
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(
-        shared.config.read_timeout_ms.max(1),
-    )));
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(
-        shared.config.write_timeout_ms.max(1),
-    )));
-
-    let mut buf: Vec<u8> = Vec::with_capacity(4096);
-    let mut chunk = [0u8; 4096];
-    // Queue-wait clock for the request in flight: starts at accept, then
-    // resets after each response (so on keep-alive connections it includes
-    // client idle time between requests — documented in the trace format).
-    let mut ready = accepted;
-    'conn: loop {
-        // Serve every complete request already buffered (pipelining).
-        loop {
-            let parse_started = Instant::now();
-            match parse_request(&buf, &shared.config.limits) {
-                Ok(Some((req, used))) => {
-                    let parse_us = parse_started.elapsed().as_micros() as u64;
-                    buf.drain(..used);
-                    shared.metrics.requests.inc();
-                    let close_requested = req
-                        .header("Connection")
-                        .is_some_and(|v| v.eq_ignore_ascii_case("close"));
-                    let routed = shared.route(src, &req, ready, parse_us);
-                    let write_started = Instant::now();
-                    if write_response(&mut stream, &routed.resp).is_err() {
-                        break 'conn;
-                    }
-                    if let Some(tctx) = routed.trace {
-                        trace::record_stage_with(
-                            &shared.hub,
-                            &tctx,
-                            Stage::Flush,
-                            Some(write_started.elapsed().as_micros() as u64),
-                        );
-                    }
-                    shared.metrics.responses.inc();
-                    ready = Instant::now();
-                    if !shared.config.keep_alive
-                        || close_requested
-                        || shared.shutdown.load(Ordering::Relaxed)
-                    {
-                        break 'conn;
-                    }
-                }
-                Ok(None) => break, // need more bytes
-                Err(e) => {
-                    shared.metrics.bad_requests.inc();
-                    let resp = Response::status(Status::BadRequest)
-                        .with_header("X-Serve-Error", e.to_string());
-                    let _ = write_response(&mut stream, &resp);
-                    break 'conn;
-                }
-            }
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => {
-                // EOF mid-request: best-effort 400, then close.
-                if !buf.is_empty() {
-                    shared.metrics.bad_requests.inc();
-                    let _ = write_response(
-                        &mut stream,
-                        &Response::status(Status::BadRequest)
-                            .with_header("X-Serve-Error", "connection closed mid-request"),
-                    );
-                }
-                break;
-            }
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            // Idle keep-alive timeout or a stalled sender: drop the
-            // connection (its half-request gets no reply — indistinguishable
-            // from a network partition, which clients must handle anyway).
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => break,
-            Err(_) => break,
-        }
-    }
-}
-
-/// Blocking-core accept loop: feed the bounded queue, shed load when it is
-/// full. The shed write is **nonblocking best-effort**: a stalled or
-/// malicious peer must never hold the accept thread (one zero-window client
-/// with the old blocking `write_all` could freeze all accepts for the full
-/// write timeout).
-fn accept_loop(
-    shared: Arc<Shared>,
-    listener: TcpListener,
-    tx: mpsc::SyncSender<(TcpStream, Instant)>,
-) {
-    for conn in listener.incoming() {
-        if shared.shutdown.load(Ordering::Relaxed) {
-            break;
-        }
-        let Ok(stream) = conn else { continue };
-        match tx.try_send((stream, Instant::now())) {
-            Ok(()) => {}
-            Err(mpsc::TrySendError::Full((stream, _))) => {
-                shared.metrics.rejected_busy.inc();
-                shed_nonblocking(stream);
-            }
-            Err(mpsc::TrySendError::Disconnected(_)) => break,
-        }
-    }
-    // `tx` drops here; workers drain the queue and then exit.
-}
-
-/// Write the shed `503` without ever blocking: set the socket nonblocking,
-/// try the write once, close. Whatever the kernel buffer does not take is
-/// dropped — the peer sees a reset instead, which is still a refusal.
-pub(crate) fn shed_nonblocking(stream: TcpStream) {
-    if stream.set_nonblocking(true).is_ok() {
-        let _ = (&stream).write(&encode_or_bare(&shed_response()));
-    }
-}
-
 /// A running socket server. Dropping it shuts it down gracefully.
 pub struct SocketServer {
     shared: Arc<Shared>,
     local_addr: SocketAddr,
-    accept: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
-    /// Epoll backend: one waker per event loop, to interrupt their sleeps.
+    loops: Vec<JoinHandle<()>>,
+    /// One waker per event loop, to interrupt their sleeps.
     wakers: Vec<Arc<mio::Waker>>,
 }
 
 impl SocketServer {
-    /// Bind `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and start the
-    /// configured backend serving `world`.
+    /// Bind `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and start
+    /// serving `world`.
     ///
     /// # Errors
     /// Propagates bind/spawn I/O errors.
@@ -695,7 +489,7 @@ impl SocketServer {
 
     /// Bind `addr` and serve an arbitrary [`Server`] — the generalization
     /// the sharded tier uses to put shard services and the router behind
-    /// the very same backends (and the same `/healthz`, `/metrics`,
+    /// the very same event loops (and the same `/healthz`, `/metrics`,
     /// limiter, and sequence-counter front matter) as a search world.
     ///
     /// `dc0` is the datacenter address requests are attributed to (the
@@ -719,9 +513,6 @@ impl SocketServer {
             config.rate_limit_window_ms.max(1),
         );
         let metrics = ServeMetrics::resolve(&hub);
-        let backend = config.backend;
-        let worker_count = config.workers.max(1);
-        let queue_depth = config.queue_depth.max(1);
         let shared = Arc::new(Shared {
             service,
             hub,
@@ -733,58 +524,13 @@ impl SocketServer {
             shutdown: AtomicBool::new(false),
             metrics,
         });
-
-        match backend {
-            ServeBackend::Epoll => {
-                let (workers, wakers) =
-                    epoll::start(Arc::clone(&shared), listener, worker_count, queue_depth)?;
-                Ok(SocketServer {
-                    shared,
-                    local_addr,
-                    accept: None,
-                    workers,
-                    wakers,
-                })
-            }
-            ServeBackend::Blocking => {
-                let (tx, rx) = mpsc::sync_channel::<(TcpStream, Instant)>(queue_depth);
-                let rx = Arc::new(Mutex::new(rx));
-                let mut workers = Vec::with_capacity(worker_count);
-                for i in 0..worker_count {
-                    let shared = Arc::clone(&shared);
-                    let rx = Arc::clone(&rx);
-                    workers.push(
-                        std::thread::Builder::new()
-                            .name(format!("geoserp-serve-{i}"))
-                            .spawn(move || loop {
-                                // Hold the receiver lock only while waiting;
-                                // serve with it released so workers drain in
-                                // parallel.
-                                let next = rx.lock().recv();
-                                match next {
-                                    Ok((stream, accepted)) => {
-                                        serve_connection(&shared, stream, accepted)
-                                    }
-                                    Err(_) => break, // accept loop gone, queue drained
-                                }
-                            })?,
-                    );
-                }
-                let accept = {
-                    let shared = Arc::clone(&shared);
-                    std::thread::Builder::new()
-                        .name("geoserp-accept".into())
-                        .spawn(move || accept_loop(shared, listener, tx))?
-                };
-                Ok(SocketServer {
-                    shared,
-                    local_addr,
-                    accept: Some(accept),
-                    workers,
-                    wakers: Vec::new(),
-                })
-            }
-        }
+        let (loops, wakers) = epoll::start(Arc::clone(&shared), listener)?;
+        Ok(SocketServer {
+            shared,
+            local_addr,
+            loops,
+            wakers,
+        })
     }
 
     /// The bound address (useful with an ephemeral `:0` bind).
@@ -792,10 +538,10 @@ impl SocketServer {
         self.local_addr
     }
 
-    /// Stop accepting, drain queued/in-flight connections, and join every
-    /// thread. Idle keep-alive connections are closed promptly (the event
-    /// loop's drain path wakes and closes them; the blocking core bounds
-    /// them by its read timeout).
+    /// Stop accepting, drain in-flight connections, and join every event
+    /// loop. Idle keep-alive connections are closed promptly: the drain
+    /// path wakes every loop and closes them without waiting out the read
+    /// timeout.
     pub fn shutdown(mut self) {
         self.stop();
     }
@@ -804,19 +550,10 @@ impl SocketServer {
         if self.shared.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
-        if self.wakers.is_empty() {
-            // Blocking backend: unblock the accept loop with a throwaway
-            // connection.
-            let _ = TcpStream::connect(self.local_addr);
-        } else {
-            for waker in &self.wakers {
-                let _ = waker.wake();
-            }
+        for waker in &self.wakers {
+            let _ = waker.wake();
         }
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        for h in self.workers.drain(..) {
+        for h in self.loops.drain(..) {
             let _ = h.join();
         }
     }
@@ -843,22 +580,6 @@ mod tests {
         // … and the next one wraps to 0 (debug builds used to panic here).
         assert_eq!(seq.next(src), ip_half);
         assert_eq!(seq.next(src), ip_half | 1);
-    }
-
-    #[test]
-    fn backend_parses_and_displays() {
-        assert_eq!(
-            "epoll".parse::<ServeBackend>().unwrap(),
-            ServeBackend::Epoll
-        );
-        assert_eq!(
-            "blocking".parse::<ServeBackend>().unwrap(),
-            ServeBackend::Blocking
-        );
-        assert!("kqueue".parse::<ServeBackend>().is_err());
-        for b in ServeBackend::ALL {
-            assert_eq!(b.to_string().parse::<ServeBackend>().unwrap(), b);
-        }
     }
 
     #[test]

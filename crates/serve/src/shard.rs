@@ -5,10 +5,10 @@
 //! integer-only
 //! internal endpoints the router scatters to
 //! ([`SHARD_RETRIEVE_PATH`], [`SHARD_SUGGEST_PATH`]). It is a plain
-//! [`geoserp_net::Server`], so it sits behind the very same socket
-//! backends (blocking or epoll) as the public search service — replicas
-//! of a shard are just additional [`SocketServer`](crate::SocketServer)s
-//! sharing one `Arc<ShardService>`.
+//! [`geoserp_net::Server`], so it sits behind the very same socket event
+//! loop as the public search service — replicas of a shard are just
+//! additional [`SocketServer`](crate::SocketServer)s sharing one
+//! `Arc<ShardService>`.
 //!
 //! Shards deliberately hold **no ranking state**: no noise model, no
 //! history, no SERP composer. All of that lives router-side, which is why

@@ -1,4 +1,4 @@
-//! Hashed timer wheel for the event-loop backend: keep-alive idle
+//! Hashed timer wheel for the event loop: keep-alive idle
 //! timeouts, read stalls, and write deadlines.
 //!
 //! Deadlines hash into `slots` buckets by tick index (`deadline / tick_ms %

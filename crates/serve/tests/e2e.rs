@@ -1,17 +1,15 @@
 //! End-to-end socket tests: the determinism contract (a served page is
 //! byte-identical to the simulated path's page), hostile-input behavior over
 //! real connections, keep-alive, backpressure, rate limiting, observability
-//! endpoints, and graceful shutdown — every contract test runs against
-//! **both** serving cores ([`ServeBackend::Blocking`] and
-//! [`ServeBackend::Epoll`]), which is what licenses calling them
-//! interchangeable.
+//! endpoints, and graceful shutdown, each asserted against the epoll event
+//! loop over real loopback connections.
 
 use geoserp_engine::{EngineConfig, SearchEngine, SearchService, GEOLOCATION_HEADER, SEARCH_HOST};
 use geoserp_geo::{Seed, UsGeography};
 use geoserp_net::{
     encode_request, ip, parse_response, Request, Response, SimNet, Status, WireLimits,
 };
-use geoserp_serve::{LoadgenConfig, ServeBackend, ServeConfig, ServedWorld, SocketServer};
+use geoserp_serve::{LoadgenConfig, ServeConfig, ServedWorld, SocketServer};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -94,11 +92,11 @@ fn search_req(geo: &UsGeography, q: &str) -> Request {
         .with_header("User-Agent", "Mozilla/5.0 (iPhone; Safari 8)")
 }
 
-fn byte_identity_contract(backend: ServeBackend) {
+#[test]
+fn served_pages_are_byte_identical_to_the_sim_path_epoll() {
     let (geo, net) = sim_reference();
     let world = world();
-    let server =
-        SocketServer::start("127.0.0.1:0", &world, ServeConfig::new().backend(backend)).unwrap();
+    let server = SocketServer::start("127.0.0.1:0", &world, ServeConfig::new()).unwrap();
     let addr = server.local_addr();
 
     // The simulated client and the TCP client share the loopback source
@@ -109,7 +107,7 @@ fn byte_identity_contract(backend: ServeBackend) {
         let tcp_resp = request_tcp(addr, &req);
         assert_eq!(
             tcp_resp, sim_resp,
-            "{backend}: query {query:?}: served response must equal the simulated one"
+            "query {query:?}: served response must equal the simulated one"
         );
         assert_eq!(tcp_resp.status, Status::Ok);
         assert_eq!(tcp_resp.header("X-Datacenter"), Some("dc0"));
@@ -121,24 +119,13 @@ fn byte_identity_contract(backend: ServeBackend) {
 }
 
 #[test]
-fn served_pages_are_byte_identical_to_the_sim_path_blocking() {
-    byte_identity_contract(ServeBackend::Blocking);
-}
-
-#[test]
-fn served_pages_are_byte_identical_to_the_sim_path_epoll() {
-    byte_identity_contract(ServeBackend::Epoll);
-}
-
-fn hostile_inputs_contract(backend: ServeBackend) {
+fn hostile_inputs_get_400s_and_never_kill_the_server_epoll() {
     let (geo, _) = sim_reference();
     let world = world();
     let server = SocketServer::start(
         "127.0.0.1:0",
         &world,
-        ServeConfig::new()
-            .backend(backend)
-            .limits(WireLimits::new().max_head_bytes(4096)),
+        ServeConfig::new().limits(WireLimits::new().max_head_bytes(4096)),
     )
     .unwrap();
     let addr = server.local_addr();
@@ -162,37 +149,24 @@ fn hostile_inputs_contract(backend: ServeBackend) {
     ];
     for (label, bytes) in &corpus {
         let reply = send_raw(addr, bytes);
-        assert!(
-            !reply.is_empty(),
-            "{backend}: {label}: server must reply, not hang up"
-        );
+        assert!(!reply.is_empty(), "{label}: server must reply, not hang up");
         let (resp, _) = parse_response(&reply, &WireLimits::default())
-            .unwrap_or_else(|e| panic!("{backend}: {label}: unparseable reply: {e}"))
-            .unwrap_or_else(|| panic!("{backend}: {label}: truncated reply"));
-        assert_eq!(resp.status, Status::BadRequest, "{backend}: {label}");
+            .unwrap_or_else(|e| panic!("{label}: unparseable reply: {e}"))
+            .unwrap_or_else(|| panic!("{label}: truncated reply"));
+        assert_eq!(resp.status, Status::BadRequest, "{label}");
     }
 
     // After the whole corpus, the server still serves good requests.
     let resp = request_tcp(addr, &search_req(&geo, "Hospital"));
-    assert_eq!(resp.status, Status::Ok, "{backend}");
+    assert_eq!(resp.status, Status::Ok);
     server.shutdown();
 }
 
 #[test]
-fn hostile_inputs_get_400s_and_never_kill_the_server_blocking() {
-    hostile_inputs_contract(ServeBackend::Blocking);
-}
-
-#[test]
-fn hostile_inputs_get_400s_and_never_kill_the_server_epoll() {
-    hostile_inputs_contract(ServeBackend::Epoll);
-}
-
-fn keep_alive_contract(backend: ServeBackend) {
+fn keep_alive_serves_many_requests_per_connection_epoll() {
     let (geo, _) = sim_reference();
     let world = world();
-    let server =
-        SocketServer::start("127.0.0.1:0", &world, ServeConfig::new().backend(backend)).unwrap();
+    let server = SocketServer::start("127.0.0.1:0", &world, ServeConfig::new()).unwrap();
 
     let mut stream = TcpStream::connect(server.local_addr()).unwrap();
     stream
@@ -203,17 +177,13 @@ fn keep_alive_contract(backend: ServeBackend) {
             .write_all(&encode_request(&search_req(&geo, query)).unwrap())
             .unwrap();
         let resp = read_response(&mut stream).expect("keep-alive reply");
-        assert_eq!(resp.status, Status::Ok, "{backend}: {query}");
+        assert_eq!(resp.status, Status::Ok, "{query}");
     }
     drop(stream);
 
     // keep_alive(false): the server answers one request and closes.
-    let server2 = SocketServer::start(
-        "127.0.0.1:0",
-        &world,
-        ServeConfig::new().backend(backend).keep_alive(false),
-    )
-    .unwrap();
+    let server2 =
+        SocketServer::start("127.0.0.1:0", &world, ServeConfig::new().keep_alive(false)).unwrap();
     let mut stream = TcpStream::connect(server2.local_addr()).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
@@ -221,114 +191,79 @@ fn keep_alive_contract(backend: ServeBackend) {
     stream
         .write_all(&encode_request(&search_req(&geo, "Hospital")).unwrap())
         .unwrap();
-    assert!(read_response(&mut stream).is_some(), "{backend}");
+    assert!(read_response(&mut stream).is_some());
     stream
         .write_all(&encode_request(&search_req(&geo, "Bank")).unwrap())
         .ok();
     assert!(
         read_response(&mut stream).is_none(),
-        "{backend}: without keep-alive the connection must close after one response"
+        "without keep-alive the connection must close after one response"
     );
     server.shutdown();
     server2.shutdown();
 }
 
 #[test]
-fn keep_alive_serves_many_requests_per_connection_blocking() {
-    keep_alive_contract(ServeBackend::Blocking);
-}
-
-#[test]
-fn keep_alive_serves_many_requests_per_connection_epoll() {
-    keep_alive_contract(ServeBackend::Epoll);
-}
-
-fn observability_contract(backend: ServeBackend) {
+fn healthz_and_metrics_expose_the_shared_hub_epoll() {
     let (geo, _) = sim_reference();
     let world = world();
-    let server =
-        SocketServer::start("127.0.0.1:0", &world, ServeConfig::new().backend(backend)).unwrap();
+    let server = SocketServer::start("127.0.0.1:0", &world, ServeConfig::new()).unwrap();
     let addr = server.local_addr();
 
     let health = request_tcp(addr, &Request::get(SEARCH_HOST, "/healthz"));
-    assert_eq!(health.status, Status::Ok, "{backend}");
+    assert_eq!(health.status, Status::Ok);
     assert_eq!(health.body_text(), "ok\n");
 
     assert_eq!(
         request_tcp(addr, &search_req(&geo, "Hospital")).status,
-        Status::Ok,
-        "{backend}"
+        Status::Ok
     );
     let metrics = request_tcp(addr, &Request::get(SEARCH_HOST, "/metrics"));
-    assert_eq!(metrics.status, Status::Ok, "{backend}");
+    assert_eq!(metrics.status, Status::Ok);
     let text = metrics.body_text();
     assert!(
         text.contains("# TYPE geoserp_serve_requests counter"),
-        "{backend}: {text}"
+        "{text}"
     );
-    assert!(
-        text.contains("geoserp_engine_queries 1"),
-        "{backend}: {text}"
-    );
+    assert!(text.contains("geoserp_engine_queries 1"), "{text}");
     server.shutdown();
 }
 
 #[test]
-fn healthz_and_metrics_expose_the_shared_hub_blocking() {
-    observability_contract(ServeBackend::Blocking);
-}
-
-#[test]
-fn healthz_and_metrics_expose_the_shared_hub_epoll() {
-    observability_contract(ServeBackend::Epoll);
-}
-
-fn rate_limit_contract(backend: ServeBackend) {
+fn serve_layer_rate_limit_returns_429_epoll() {
     let (geo, _) = sim_reference();
     let world = world();
     let server = SocketServer::start(
         "127.0.0.1:0",
         &world,
-        ServeConfig::new().backend(backend).rate_limit(3, 60_000),
+        ServeConfig::new().rate_limit(3, 60_000),
     )
     .unwrap();
     let addr = server.local_addr();
     for _ in 0..3 {
         assert_eq!(
             request_tcp(addr, &search_req(&geo, "Bank")).status,
-            Status::Ok,
-            "{backend}"
+            Status::Ok
         );
     }
     let resp = request_tcp(addr, &search_req(&geo, "Bank"));
-    assert_eq!(resp.status, Status::TooManyRequests, "{backend}");
+    assert_eq!(resp.status, Status::TooManyRequests);
     assert_eq!(resp.header("X-Reason"), Some("serve-layer rate limit"));
     // Probes are exempt: health stays green while search is throttled.
     assert_eq!(
         request_tcp(addr, &Request::get(SEARCH_HOST, "/healthz")).status,
-        Status::Ok,
-        "{backend}"
+        Status::Ok
     );
     server.shutdown();
 }
 
 #[test]
-fn serve_layer_rate_limit_returns_429_blocking() {
-    rate_limit_contract(ServeBackend::Blocking);
-}
-
-#[test]
-fn serve_layer_rate_limit_returns_429_epoll() {
-    rate_limit_contract(ServeBackend::Epoll);
-}
-
-fn shed_503_contract(backend: ServeBackend) {
+fn full_accept_queue_sheds_load_with_503_epoll() {
     let world = world();
     let server = SocketServer::start(
         "127.0.0.1:0",
         &world,
         ServeConfig::new()
-            .backend(backend)
             .workers(1)
             .queue_depth(1)
             .read_timeout_ms(3_000),
@@ -356,7 +291,7 @@ fn shed_503_contract(backend: ServeBackend) {
             .set_read_timeout(Some(Duration::from_millis(500)))
             .unwrap();
         if let Some(resp) = read_response(&mut probe) {
-            assert_eq!(resp.status, Status::ServiceUnavailable, "{backend}");
+            assert_eq!(resp.status, Status::ServiceUnavailable);
             assert_eq!(resp.header("X-Reason"), Some("accept queue full"));
             shed = true;
             break;
@@ -364,14 +299,13 @@ fn shed_503_contract(backend: ServeBackend) {
     }
     assert!(
         shed,
-        "{backend}: expected at least one 503 while the pool was saturated"
+        "expected at least one 503 while the pool was saturated"
     );
     drop(stall_worker);
     server.shutdown();
 
-    // Counting parity between the backends: every connect lands in exactly
-    // one of `serve.connections` (a worker would have picked it up) or
-    // `serve.rejected_busy` (shed). The epoll core once counted shed
+    // Every connect lands in exactly one of `serve.connections` (admitted)
+    // or `serve.rejected_busy` (shed). The event loop once counted shed
     // connections in both.
     let m = world.hub.metrics();
     let connections = m.counter("serve.connections").get();
@@ -379,19 +313,9 @@ fn shed_503_contract(backend: ServeBackend) {
     assert_eq!(
         connections + rejected,
         2 + probes, // stall_worker + fill_queue + probes
-        "{backend}: connects must be counted admitted xor shed \
+        "connects must be counted admitted xor shed \
          (connections={connections}, rejected_busy={rejected})"
     );
-}
-
-#[test]
-fn full_accept_queue_sheds_load_with_503_blocking() {
-    shed_503_contract(ServeBackend::Blocking);
-}
-
-#[test]
-fn full_accept_queue_sheds_load_with_503_epoll() {
-    shed_503_contract(ServeBackend::Epoll);
 }
 
 /// Regression: the accept path once wrote shed 503s with a *blocking*
@@ -402,13 +326,13 @@ fn full_accept_queue_sheds_load_with_503_epoll() {
 /// constructible over loopback — kernel buffers absorb it — so the test
 /// pins the observable symptom: accept latency stays bounded while shed
 /// targets sit on unread responses.)
-fn shed_storm_contract(backend: ServeBackend) {
+#[test]
+fn shed_storm_never_stalls_accepts_epoll() {
     let world = world();
     let server = SocketServer::start(
         "127.0.0.1:0",
         &world,
         ServeConfig::new()
-            .backend(backend)
             .workers(1)
             .queue_depth(1)
             .read_timeout_ms(8_000)
@@ -438,25 +362,15 @@ fn shed_storm_contract(backend: ServeBackend) {
     let elapsed = started.elapsed();
     assert!(
         resp.is_some_and(|r| r.status == Status::ServiceUnavailable),
-        "{backend}: trailing probe must be shed with a 503"
+        "trailing probe must be shed with a 503"
     );
     assert!(
         elapsed < Duration::from_secs(3),
-        "{backend}: shed storm stalled the accept path for {elapsed:?}"
+        "shed storm stalled the accept path for {elapsed:?}"
     );
     drop(deaf_probes);
     drop(stall_worker);
     server.shutdown();
-}
-
-#[test]
-fn shed_storm_never_stalls_accepts_blocking() {
-    shed_storm_contract(ServeBackend::Blocking);
-}
-
-#[test]
-fn shed_storm_never_stalls_accepts_epoll() {
-    shed_storm_contract(ServeBackend::Epoll);
 }
 
 /// Regression: the event loop's read soft cap (64 KiB) once applied even
@@ -465,10 +379,10 @@ fn shed_storm_never_stalls_accepts_epoll() {
 /// reactor thread: nothing complete to parse, nothing to flush, and
 /// `fill` refusing to read. A body over the cap must be read through and
 /// served, alone and pipelined behind a small request.
-fn large_body_contract(backend: ServeBackend) {
+#[test]
+fn bodies_larger_than_the_read_soft_cap_are_served_epoll() {
     let world = world();
-    let server =
-        SocketServer::start("127.0.0.1:0", &world, ServeConfig::new().backend(backend)).unwrap();
+    let server = SocketServer::start("127.0.0.1:0", &world, ServeConfig::new()).unwrap();
     let addr = server.local_addr();
     let limits = WireLimits::new();
 
@@ -486,11 +400,11 @@ fn large_body_contract(backend: ServeBackend) {
     let reply = send_raw(addr, &large);
     assert!(
         !reply.is_empty(),
-        "{backend}: a 100 KiB-body request must be answered, not livelocked"
+        "a 100 KiB-body request must be answered, not livelocked"
     );
     let (resp, _) = parse_response(&reply, &limits).unwrap().unwrap();
-    assert_eq!(resp.status, Status::Ok, "{backend}");
-    assert_eq!(resp.body_text(), "ok\n", "{backend}");
+    assert_eq!(resp.status, Status::Ok);
+    assert_eq!(resp.body_text(), "ok\n");
 
     // Pipelined: a small request followed by the large one in a single
     // write, so the parser makes progress at the soft cap and then stalls
@@ -501,33 +415,23 @@ fn large_body_contract(backend: ServeBackend) {
     let reply = send_raw(addr, &pipelined);
     let (first, used) = parse_response(&reply, &limits)
         .unwrap()
-        .unwrap_or_else(|| panic!("{backend}: first pipelined response truncated"));
-    assert_eq!(first.status, Status::Ok, "{backend}");
+        .unwrap_or_else(|| panic!("first pipelined response truncated"));
+    assert_eq!(first.status, Status::Ok);
     let (second, _) = parse_response(&reply[used..], &limits)
         .unwrap()
-        .unwrap_or_else(|| panic!("{backend}: second pipelined response truncated"));
-    assert_eq!(second.status, Status::Ok, "{backend}");
+        .unwrap_or_else(|| panic!("second pipelined response truncated"));
+    assert_eq!(second.status, Status::Ok);
     server.shutdown();
-}
-
-#[test]
-fn bodies_larger_than_the_read_soft_cap_are_served_blocking() {
-    large_body_contract(ServeBackend::Blocking);
-}
-
-#[test]
-fn bodies_larger_than_the_read_soft_cap_are_served_epoll() {
-    large_body_contract(ServeBackend::Epoll);
 }
 
 /// The determinism contract is IPv4-only (sequence numbers and rate-limit
 /// keys are defined over `Ipv4Addr`): an IPv6 peer gets a typed 400, not a
 /// silent collapse onto `0.0.0.0`'s counters. Skipped when the host has no
 /// usable loopback IPv6.
-fn ipv6_contract(backend: ServeBackend) {
+#[test]
+fn ipv6_peers_get_a_typed_400_epoll() {
     let world = world();
-    let Ok(server) = SocketServer::start("[::1]:0", &world, ServeConfig::new().backend(backend))
-    else {
+    let Ok(server) = SocketServer::start("[::1]:0", &world, ServeConfig::new()) else {
         eprintln!("skipping: cannot bind [::1] (no IPv6 loopback)");
         return;
     };
@@ -542,39 +446,28 @@ fn ipv6_contract(backend: ServeBackend) {
     // The rejection is by peer address; it arrives whether or not a
     // request is ever sent, so just read.
     let resp = read_response(&mut stream).expect("server must reply before closing");
-    assert_eq!(resp.status, Status::BadRequest, "{backend}");
+    assert_eq!(resp.status, Status::BadRequest);
     assert_eq!(
         resp.header("X-Reason"),
-        Some("ipv4-only determinism contract"),
-        "{backend}"
+        Some("ipv4-only determinism contract")
     );
     server.shutdown();
 }
 
 #[test]
-fn ipv6_peers_get_a_typed_400_blocking() {
-    ipv6_contract(ServeBackend::Blocking);
-}
-
-#[test]
-fn ipv6_peers_get_a_typed_400_epoll() {
-    ipv6_contract(ServeBackend::Epoll);
-}
-
-fn shutdown_contract(backend: ServeBackend) {
+fn shutdown_drains_and_stops_accepting_epoll() {
     let (geo, _) = sim_reference();
     let world = world();
     let server = SocketServer::start(
         "127.0.0.1:0",
         &world,
-        ServeConfig::new().backend(backend).read_timeout_ms(500),
+        ServeConfig::new().read_timeout_ms(500),
     )
     .unwrap();
     let addr = server.local_addr();
     assert_eq!(
         request_tcp(addr, &search_req(&geo, "Hospital")).status,
-        Status::Ok,
-        "{backend}"
+        Status::Ok
     );
     server.shutdown();
     // Every thread is joined by the time shutdown returns; a new connection
@@ -585,17 +478,7 @@ fn shutdown_contract(backend: ServeBackend) {
             .is_ok()
             && read_response(&mut s).is_some()
     });
-    assert!(!served_after, "{backend}: server answered after shutdown");
-}
-
-#[test]
-fn shutdown_drains_and_stops_accepting_blocking() {
-    shutdown_contract(ServeBackend::Blocking);
-}
-
-#[test]
-fn shutdown_drains_and_stops_accepting_epoll() {
-    shutdown_contract(ServeBackend::Epoll);
+    assert!(!served_after, "server answered after shutdown");
 }
 
 /// Regression: graceful shutdown used to wait out the read timeout for
@@ -610,10 +493,7 @@ fn epoll_drain_closes_idle_keepalive_connections_promptly() {
     let server = SocketServer::start(
         "127.0.0.1:0",
         &world,
-        ServeConfig::new()
-            .backend(ServeBackend::Epoll)
-            .workers(2)
-            .read_timeout_ms(10_000),
+        ServeConfig::new().workers(2).read_timeout_ms(10_000),
     )
     .unwrap();
     let addr = server.local_addr();
@@ -657,8 +537,8 @@ fn loadgen_measures_the_server() {
     let report = geoserp_serve::loadgen::run_matrix(SEED, &[2], 60, 3).unwrap();
     assert_eq!(
         report.entries.len(),
-        9,
-        "2 backends x (2 firehose cells + 1 slow-client cell) + 3 router cells"
+        6,
+        "(2 firehose cells + 1 slow-client cell) + 3 router cells"
     );
     assert_eq!(
         report
@@ -678,7 +558,7 @@ fn loadgen_measures_the_server() {
             continue;
         }
         assert_eq!(e.workers, 2);
-        assert!(e.backend == "blocking" || e.backend == "epoll", "{e:?}");
+        assert_eq!(e.backend, "epoll", "{e:?}");
         assert_eq!((e.shards, e.replicas), (0, 0), "direct cells: no router");
         let expected = if e.think_ms > 0 {
             assert_eq!(e.concurrency, 16, "slow-client cell: 8 clients/worker");

@@ -3,10 +3,10 @@
 //! The headline contract of the compressed inverted index: for every
 //! request, the page served from the compressed backend is **byte-identical**
 //! to the page served from the exact (uncompressed HashMap) backend — across
-//! corpus scales, across single-process vs routed 2×2 topologies, and across
-//! both serve backends (blocking and epoll). A committed golden FNV digest
-//! per scale pins the page bytes themselves, so a "both backends drifted
-//! together" regression cannot hide behind the pairwise comparison.
+//! corpus scales and across single-process vs routed 2×2 topologies. A
+//! committed golden FNV digest per scale pins the page bytes themselves, so
+//! a "both backends drifted together" regression cannot hide behind the
+//! pairwise comparison.
 //!
 //! This mirrors `tests/sharded_equivalence.rs`; the scale-1 golden digest is
 //! the same constant, which proves the scaled generator leaves the base
@@ -17,9 +17,7 @@ use geoserp::crawler::fnv1a64;
 use geoserp::engine::{EngineConfig, IndexBackend, GEOLOCATION_HEADER, SEARCH_HOST};
 use geoserp::geo::{Seed, UsGeography};
 use geoserp::net::{encode_request, parse_response, Request, Response, WireLimits};
-use geoserp::serve::{
-    ClusterConfig, ServeBackend, ServeConfig, ServedWorld, ShardedCluster, SocketServer,
-};
+use geoserp::serve::{ClusterConfig, ServeConfig, ServedWorld, ShardedCluster, SocketServer};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -94,11 +92,10 @@ fn digest(responses: &[Response]) -> u64 {
 /// the given index backend.
 fn single_process_pages(
     geo: &UsGeography,
-    serve_backend: ServeBackend,
     index_backend: IndexBackend,
     scale: u32,
 ) -> Vec<Response> {
-    let config = ServeConfig::new().backend(serve_backend);
+    let config = ServeConfig::new();
     let world = ServedWorld::build_scaled(
         SEED,
         config.engine_config(EngineConfig::with_index_backend(index_backend)),
@@ -113,19 +110,12 @@ fn single_process_pages(
 
 /// Pages served by a fresh routed 2×2 cluster at the given scale with the
 /// given index backend.
-fn routed_pages(
-    geo: &UsGeography,
-    serve_backend: ServeBackend,
-    index_backend: IndexBackend,
-    scale: u32,
-) -> Vec<Response> {
+fn routed_pages(geo: &UsGeography, index_backend: IndexBackend, scale: u32) -> Vec<Response> {
     let cluster = ShardedCluster::start(
         "127.0.0.1:0",
         SEED,
         EngineConfig::with_index_backend(index_backend),
-        ClusterConfig::new(2, 2)
-            .serve(ServeConfig::new().backend(serve_backend))
-            .corpus_scale(scale),
+        ClusterConfig::new(2, 2).corpus_scale(scale),
     )
     .unwrap();
     let pages = replay(cluster.router_addr(), &request_sequence(geo));
@@ -148,37 +138,30 @@ fn assert_pages_identical(got: &[Response], want: &[Response], cell: &str) {
 fn compressed_pages_match_exact_across_scales_topologies_and_backends() {
     let geo = UsGeography::generate(Seed::new(SEED));
     for &(scale, golden) in SCALE_DIGESTS {
-        for serve_backend in [ServeBackend::Blocking, ServeBackend::Epoll] {
-            // The exact backend is the reference, and it must match the
-            // committed golden digest — the anchor that keeps the pairwise
-            // comparisons honest.
-            let exact = single_process_pages(&geo, serve_backend, IndexBackend::Exact, scale);
-            assert_eq!(
-                digest(&exact),
-                golden,
-                "scale {scale} ({serve_backend}): exact reference drifted from the golden digest"
-            );
+        // The exact backend is the reference, and it must match the
+        // committed golden digest — the anchor that keeps the pairwise
+        // comparisons honest.
+        let exact = single_process_pages(&geo, IndexBackend::Exact, scale);
+        assert_eq!(
+            digest(&exact),
+            golden,
+            "scale {scale}: exact reference drifted from the golden digest"
+        );
 
-            let compressed =
-                single_process_pages(&geo, serve_backend, IndexBackend::Compressed, scale);
-            assert_pages_identical(
-                &compressed,
-                &exact,
-                &format!("scale {scale} ({serve_backend}) single-process"),
-            );
+        let compressed = single_process_pages(&geo, IndexBackend::Compressed, scale);
+        assert_pages_identical(
+            &compressed,
+            &exact,
+            &format!("scale {scale} single-process"),
+        );
 
-            let routed = routed_pages(&geo, serve_backend, IndexBackend::Compressed, scale);
-            assert_pages_identical(
-                &routed,
-                &exact,
-                &format!("scale {scale} ({serve_backend}) routed 2x2"),
-            );
-            assert_eq!(
-                digest(&routed),
-                golden,
-                "scale {scale} ({serve_backend}): routed page digest drifted from the golden value"
-            );
-        }
+        let routed = routed_pages(&geo, IndexBackend::Compressed, scale);
+        assert_pages_identical(&routed, &exact, &format!("scale {scale} routed 2x2"));
+        assert_eq!(
+            digest(&routed),
+            golden,
+            "scale {scale}: routed page digest drifted from the golden value"
+        );
     }
 }
 
@@ -187,7 +170,7 @@ fn routed_exact_backend_serves_the_same_bytes() {
     // One routed-exact cell: proves the backend knob reaches the shard
     // services (not just the single-process engine) without changing bytes.
     let geo = UsGeography::generate(Seed::new(SEED));
-    let routed = routed_pages(&geo, ServeBackend::Epoll, IndexBackend::Exact, 1);
+    let routed = routed_pages(&geo, IndexBackend::Exact, 1);
     assert_eq!(
         digest(&routed),
         SCALE_DIGESTS[0].1,

@@ -3,21 +3,19 @@
 //! The contract of the `Rich` component set mirrors the index battery in
 //! `tests/index_equivalence.rs`: for a fixed request sequence that triggers
 //! every new SERP component (local pack, answer box, knowledge panel, ads),
-//! the served pages are **byte-identical** across both serve backends
-//! (blocking and epoll) and across single-process vs routed 2×2 topologies.
-//! A committed golden FNV digest pins the page bytes themselves, so a "every
-//! cell drifted together" regression cannot hide behind the pairwise
-//! comparisons. Every page must also survive the *strict* parser — rich
-//! markup is part of the fault-injection contract, not exempt from it.
+//! the served pages are **byte-identical** across single-process vs routed
+//! 2×2 topologies. A committed golden FNV digest pins the page bytes
+//! themselves, so a "every cell drifted together" regression cannot hide
+//! behind the pairwise comparison. Every page must also survive the
+//! *strict* parser — rich markup is part of the fault-injection contract,
+//! not exempt from it.
 
 use geoserp::crawler::fnv1a64;
 use geoserp::engine::{ComponentSet, EngineConfig, GEOLOCATION_HEADER, SEARCH_HOST};
 use geoserp::geo::{Seed, UsGeography};
 use geoserp::net::{encode_request, parse_response, Request, Response, WireLimits};
 use geoserp::serp::CardType;
-use geoserp::serve::{
-    ClusterConfig, ServeBackend, ServeConfig, ServedWorld, ShardedCluster, SocketServer,
-};
+use geoserp::serve::{ClusterConfig, ServeConfig, ServedWorld, ShardedCluster, SocketServer};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -109,8 +107,8 @@ fn rich_engine_config() -> EngineConfig {
 }
 
 /// Pages served by a fresh single-process rich server.
-fn single_process_pages(reqs: &[Request], serve_backend: ServeBackend) -> Vec<Response> {
-    let config = ServeConfig::new().backend(serve_backend);
+fn single_process_pages(reqs: &[Request]) -> Vec<Response> {
+    let config = ServeConfig::new();
     let world =
         ServedWorld::build_scaled(SEED, config.engine_config(rich_engine_config()), 1).unwrap();
     let server = SocketServer::start("127.0.0.1:0", &world, config).unwrap();
@@ -120,12 +118,12 @@ fn single_process_pages(reqs: &[Request], serve_backend: ServeBackend) -> Vec<Re
 }
 
 /// Pages served by a fresh routed 2×2 rich cluster.
-fn routed_pages(reqs: &[Request], serve_backend: ServeBackend) -> Vec<Response> {
+fn routed_pages(reqs: &[Request]) -> Vec<Response> {
     let cluster = ShardedCluster::start(
         "127.0.0.1:0",
         SEED,
         rich_engine_config(),
-        ClusterConfig::new(2, 2).serve(ServeConfig::new().backend(serve_backend)),
+        ClusterConfig::new(2, 2),
     )
     .unwrap();
     let pages = replay(cluster.router_addr(), reqs);
@@ -150,9 +148,9 @@ fn rich_pages_are_identical_across_topologies_and_backends() {
     let entity = entity_query(&geo);
     let reqs = request_sequence(&geo, &entity);
 
-    // The blocking single-process server is the reference, anchored to the
+    // The single-process server is the reference, anchored to the
     // committed golden digest.
-    let reference = single_process_pages(&reqs, ServeBackend::Blocking);
+    let reference = single_process_pages(&reqs);
     assert_eq!(
         digest(&reference),
         RICH_DIGEST,
@@ -181,23 +179,14 @@ fn rich_pages_are_identical_across_topologies_and_backends() {
         assert!(flag, "no page in the sequence carried a {ty:?} card");
     }
 
-    // Remaining cells: epoll single-process, and routed 2×2 over both
-    // backends — all byte-identical to the reference.
-    let epoll = single_process_pages(&reqs, ServeBackend::Epoll);
-    assert_pages_identical(&epoll, &reference, "epoll single-process");
-    for serve_backend in [ServeBackend::Blocking, ServeBackend::Epoll] {
-        let routed = routed_pages(&reqs, serve_backend);
-        assert_pages_identical(
-            &routed,
-            &reference,
-            &format!("routed 2x2 ({serve_backend})"),
-        );
-        assert_eq!(
-            digest(&routed),
-            RICH_DIGEST,
-            "routed 2x2 ({serve_backend}): digest drifted from the golden value"
-        );
-    }
+    // The routed 2×2 cell is byte-identical to the reference.
+    let routed = routed_pages(&reqs);
+    assert_pages_identical(&routed, &reference, "routed 2x2");
+    assert_eq!(
+        digest(&routed),
+        RICH_DIGEST,
+        "routed 2x2: digest drifted from the golden value"
+    );
 }
 
 #[test]
@@ -208,7 +197,7 @@ fn paper_set_stays_free_of_rich_components() {
     let geo = UsGeography::generate(Seed::new(SEED));
     let entity = entity_query(&geo);
     let reqs = request_sequence(&geo, &entity);
-    let config = ServeConfig::new().backend(ServeBackend::Blocking);
+    let config = ServeConfig::new();
     let world = ServedWorld::build_scaled(
         SEED,
         config.engine_config(EngineConfig::paper_defaults()),

@@ -4,18 +4,15 @@
 //! the page served by the scatter-gather router over N shards × M replicas
 //! is **byte-identical** to the page the single-process engine serves for
 //! the same request sequence. The sweep covers shards × replicas ∈
-//! {1,2,4} × {1,2,3} on the epoll backend plus a blocking-backend cell,
-//! and a committed golden FNV digest pins the page bytes themselves, so a
-//! "reference and router drifted together" regression cannot hide behind
-//! the pairwise comparison.
+//! {1,2,4} × {1,2,3}, and a committed golden FNV digest pins the page
+//! bytes themselves, so a "reference and router drifted together"
+//! regression cannot hide behind the pairwise comparison.
 
 use geoserp::crawler::fnv1a64;
 use geoserp::engine::{EngineConfig, GEOLOCATION_HEADER, SEARCH_HOST};
 use geoserp::geo::{Seed, UsGeography};
 use geoserp::net::{encode_request, parse_response, Request, Response, WireLimits};
-use geoserp::serve::{
-    ClusterConfig, ServeBackend, ServeConfig, ServedWorld, ShardedCluster, SocketServer,
-};
+use geoserp::serve::{ClusterConfig, ServeConfig, ServedWorld, ShardedCluster, SocketServer};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -88,8 +85,8 @@ fn digest(responses: &[Response]) -> u64 {
 
 /// The single-process reference: a fresh direct server (no router), same
 /// engine config the cluster applies ([`ServeConfig::engine_config`]).
-fn reference_pages(geo: &UsGeography, backend: ServeBackend) -> Vec<Response> {
-    let config = ServeConfig::new().backend(backend);
+fn reference_pages(geo: &UsGeography) -> Vec<Response> {
+    let config = ServeConfig::new();
     let world =
         ServedWorld::build(SEED, config.engine_config(EngineConfig::paper_defaults())).unwrap();
     let server = SocketServer::start("127.0.0.1:0", &world, config).unwrap();
@@ -99,18 +96,12 @@ fn reference_pages(geo: &UsGeography, backend: ServeBackend) -> Vec<Response> {
 }
 
 /// Run one shards × replicas cell and assert byte-identity page by page.
-fn check_cell(
-    geo: &UsGeography,
-    reference: &[Response],
-    shards: u32,
-    replicas: u32,
-    backend: ServeBackend,
-) {
+fn check_cell(geo: &UsGeography, reference: &[Response], shards: u32, replicas: u32) {
     let cluster = ShardedCluster::start(
         "127.0.0.1:0",
         SEED,
         EngineConfig::paper_defaults(),
-        ClusterConfig::new(shards, replicas).serve(ServeConfig::new().backend(backend)),
+        ClusterConfig::new(shards, replicas),
     )
     .unwrap();
     let routed = replay(cluster.router_addr(), &request_sequence(geo));
@@ -120,20 +111,20 @@ fn check_cell(
     for (i, (routed, reference)) in routed.iter().zip(reference).enumerate() {
         assert_eq!(
             routed, reference,
-            "{shards}x{replicas} ({backend}): request {i}: routed page differs from single-process"
+            "{shards}x{replicas}: request {i}: routed page differs from single-process"
         );
     }
     assert_eq!(
         digest(&routed),
         SHARDED_PAGES_DIGEST,
-        "{shards}x{replicas} ({backend}): page digest drifted from the golden value"
+        "{shards}x{replicas}: page digest drifted from the golden value"
     );
 }
 
 #[test]
 fn sharded_pages_match_single_process_across_the_topology_sweep() {
     let geo = UsGeography::generate(Seed::new(SEED));
-    let reference = reference_pages(&geo, ServeBackend::Epoll);
+    let reference = reference_pages(&geo);
     // The reference itself must match the committed golden digest — this is
     // the anchor that keeps the pairwise comparisons honest.
     assert_eq!(
@@ -143,19 +134,7 @@ fn sharded_pages_match_single_process_across_the_topology_sweep() {
     );
     for shards in [1u32, 2, 4] {
         for replicas in [1u32, 2, 3] {
-            check_cell(&geo, &reference, shards, replicas, ServeBackend::Epoll);
+            check_cell(&geo, &reference, shards, replicas);
         }
     }
-}
-
-#[test]
-fn sharded_pages_match_on_the_blocking_backend_too() {
-    let geo = UsGeography::generate(Seed::new(SEED));
-    let reference = reference_pages(&geo, ServeBackend::Blocking);
-    assert_eq!(
-        digest(&reference),
-        SHARDED_PAGES_DIGEST,
-        "blocking-backend reference must serve the same bytes as epoll"
-    );
-    check_cell(&geo, &reference, 2, 2, ServeBackend::Blocking);
 }

@@ -4,18 +4,16 @@
 //! identity and logical timing is a pure function of the request sequence
 //! — never of wall clocks, thread ids, or socket timing. These tests
 //! replay one fixed request sequence against every serving shape
-//! ({blocking, epoll} × {single-process, routed 2×2}) and assert the
-//! *assembled Chrome trace JSON is byte-identical* across backends and
-//! across repeated runs, including a fault cell where a hedge race fires
-//! and the losing arm must be marked deterministically.
+//! (single-process and routed 2×2) and assert the *assembled Chrome trace
+//! JSON is byte-identical* across repeated runs, including a fault cell
+//! where a hedge race fires and the losing arm must be marked
+//! deterministically.
 
 use geoserp::engine::{EngineConfig, GEOLOCATION_HEADER, SEARCH_HOST};
 use geoserp::geo::{Seed, UsGeography};
 use geoserp::net::{encode_request, parse_response, Request, Response, WireLimits};
 use geoserp::obs::{assemble_chrome_trace, parse_process_spans};
-use geoserp::serve::{
-    ClusterConfig, ServeBackend, ServeConfig, ServedWorld, ShardedCluster, SocketServer,
-};
+use geoserp::serve::{ClusterConfig, ServeConfig, ServedWorld, ShardedCluster, SocketServer};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -77,9 +75,9 @@ fn settle(extra_ms: u64) {
 
 /// One single-process run: serve the sequence, pull the `/spans`
 /// collector endpoint over HTTP, and assemble the one-process trace.
-fn single_process_trace(backend: ServeBackend) -> (String, Vec<Response>) {
+fn single_process_trace() -> (String, Vec<Response>) {
     let geo = UsGeography::generate(Seed::new(SEED));
-    let config = ServeConfig::new().backend(backend);
+    let config = ServeConfig::new();
     let world =
         ServedWorld::build(SEED, config.engine_config(EngineConfig::paper_defaults())).unwrap();
     let server = SocketServer::start("127.0.0.1:0", &world, config).unwrap();
@@ -94,15 +92,10 @@ fn single_process_trace(backend: ServeBackend) -> (String, Vec<Response>) {
 
 /// One routed 2×2 run: serve the sequence through the router and stitch
 /// every process's span log into the merged trace.
-fn routed_trace(backend: ServeBackend, cfg: ClusterConfig, extra_settle_ms: u64) -> String {
+fn routed_trace(cfg: ClusterConfig, extra_settle_ms: u64) -> String {
     let geo = UsGeography::generate(Seed::new(SEED));
-    let cluster = ShardedCluster::start(
-        "127.0.0.1:0",
-        SEED,
-        EngineConfig::paper_defaults(),
-        cfg.serve(ServeConfig::new().backend(backend)),
-    )
-    .unwrap();
+    let cluster =
+        ShardedCluster::start("127.0.0.1:0", SEED, EngineConfig::paper_defaults(), cfg).unwrap();
     replay(cluster.router_addr(), &request_sequence(&geo));
     settle(extra_settle_ms);
     let trace = cluster.assemble_trace();
@@ -112,20 +105,15 @@ fn routed_trace(backend: ServeBackend, cfg: ClusterConfig, extra_settle_ms: u64)
 
 #[test]
 fn single_process_traces_are_byte_identical_across_backends_and_runs() {
-    let (blocking, pages_blocking) = single_process_trace(ServeBackend::Blocking);
-    let (epoll, pages_epoll) = single_process_trace(ServeBackend::Epoll);
-    let (epoll_again, _) = single_process_trace(ServeBackend::Epoll);
+    let (trace, pages) = single_process_trace();
+    let (trace_again, pages_again) = single_process_trace();
 
-    assert_eq!(pages_blocking, pages_epoll, "pages diverge across backends");
-    assert_eq!(
-        blocking, epoll,
-        "assembled trace diverges across serve backends"
-    );
-    assert_eq!(epoll, epoll_again, "assembled trace diverges across runs");
+    assert_eq!(pages, pages_again, "pages diverge across runs");
+    assert_eq!(trace, trace_again, "assembled trace diverges across runs");
 
     // The waterfall is present: one request span per request plus the
     // queue → parse → retrieve → render → flush stages.
-    assert!(blocking.contains("\"traceEvents\""));
+    assert!(trace.contains("\"traceEvents\""));
     for name in [
         "request /search",
         "queue",
@@ -134,10 +122,10 @@ fn single_process_traces_are_byte_identical_across_backends_and_runs() {
         "render",
         "flush",
     ] {
-        assert!(blocking.contains(name), "stage {name:?} missing");
+        assert!(trace.contains(name), "stage {name:?} missing");
     }
     assert!(
-        !blocking.contains("scatter"),
+        !trace.contains("scatter"),
         "single-process trace has no router spans"
     );
 }
@@ -147,22 +135,17 @@ fn routed_traces_are_byte_identical_across_backends_and_runs() {
     // A large hedge threshold keeps the fault-free cells hedge-free, so
     // the attempt set (one primary rpc per shard per scatter) is exact.
     let cfg = || ClusterConfig::new(2, 2).hedge_ms(5_000);
-    let blocking = routed_trace(ServeBackend::Blocking, cfg(), 0);
-    let epoll = routed_trace(ServeBackend::Epoll, cfg(), 0);
-    let epoll_again = routed_trace(ServeBackend::Epoll, cfg(), 0);
+    let trace = routed_trace(cfg(), 0);
+    let trace_again = routed_trace(cfg(), 0);
 
     assert_eq!(
-        blocking, epoll,
-        "assembled routed trace diverges across serve backends"
-    );
-    assert_eq!(
-        epoll, epoll_again,
+        trace, trace_again,
         "assembled routed trace diverges across runs"
     );
 
     // Every process contributes a named row.
     for process in ["router", "shard0.r0", "shard0.r1", "shard1.r0", "shard1.r1"] {
-        assert!(blocking.contains(process), "process {process:?} missing");
+        assert!(trace.contains(process), "process {process:?} missing");
     }
     // The cross-process waterfall: request → scatter → rpc arm → the
     // shard-side request with its own retrieve stage.
@@ -176,12 +159,12 @@ fn routed_traces_are_byte_identical_across_backends_and_runs() {
         "request /shard/suggest",
         "merge",
     ] {
-        assert!(blocking.contains(name), "span {name:?} missing");
+        assert!(trace.contains(name), "span {name:?} missing");
     }
     // Fault-free cells never hedge, and every recorded arm wins.
-    assert!(!blocking.contains("\"hedge\""), "unexpected hedge span");
-    assert!(!blocking.contains("\"lose\""), "unexpected losing arm");
-    assert!(blocking.contains("\"win\""));
+    assert!(!trace.contains("\"hedge\""), "unexpected hedge span");
+    assert!(!trace.contains("\"lose\""), "unexpected losing arm");
+    assert!(trace.contains("\"win\""));
 }
 
 #[test]
@@ -194,8 +177,8 @@ fn hedge_fault_cell_marks_the_losing_arm_deterministically() {
             .hedge_ms(80)
             .slow_replica(0, 0, 500)
     };
-    let first = routed_trace(ServeBackend::Epoll, cfg(), 600);
-    let second = routed_trace(ServeBackend::Epoll, cfg(), 600);
+    let first = routed_trace(cfg(), 600);
+    let second = routed_trace(cfg(), 600);
     assert_eq!(first, second, "fault-cell trace diverges across runs");
 
     // The race is visible end to end: a hedge arm fired, exactly one arm
