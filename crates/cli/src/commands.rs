@@ -7,6 +7,7 @@ use geoserp_core::crawler::{
 };
 use geoserp_core::prelude::*;
 use std::fmt;
+use std::io::Write;
 use std::path::Path;
 
 /// Top-level CLI failure.
@@ -354,7 +355,10 @@ pub fn cmd_run(args: &ParsedArgs) -> Result<String, CliError> {
         out.push_str(&format!("\n(dataset exports written to {dir})\n"));
     }
     if let Some(file) = args.get("save") {
-        std::fs::write(file, dataset.to_json())?;
+        let mut w = std::io::BufWriter::new(std::fs::File::create(file)?);
+        serde_json::to_writer(&mut w, &dataset).map_err(std::io::Error::from)?;
+        // Dropping a `BufWriter` discards its flush error: check it here.
+        w.flush()?;
         out.push_str(&format!(
             "(dataset saved to {file}; re-analyze with `geoserp analyze {file}`)\n"
         ));

@@ -10,14 +10,16 @@
 //! saving — see `Crawler::run_with_options` for the compatibility rules
 //! that make that true.
 //!
-//! Checkpoint files are written atomically (`<path>.tmp` + rename), so a
-//! crash mid-write leaves the previous checkpoint intact; a truncated or
+//! Checkpoint files are streamed to `<path>.tmp` and renamed into place, so
+//! a crash mid-write leaves the previous checkpoint intact; a truncated or
 //! hand-edited file is reported as a clean [`CheckpointError`], never a
 //! panic.
 
-use crate::dataset::{fnv1a64, Dataset};
+use crate::dataset::{json_digest, Dataset};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::fs::File;
+use std::io::BufWriter;
 use std::net::Ipv4Addr;
 use std::path::Path;
 
@@ -148,17 +150,23 @@ impl CrawlCheckpoint {
 
     /// The checkpoint's own integrity digest (FNV-1a over its JSON form).
     pub fn digest(&self) -> u64 {
-        fnv1a64(self.to_json().as_bytes())
+        json_digest(self)
     }
 
-    /// Write atomically: serialize to `<path>.tmp`, then rename over
-    /// `path`. A crash mid-write leaves any previous checkpoint intact.
+    /// Write atomically: stream the JSON into `<path>.tmp`, then rename
+    /// over `path`. A crash mid-write leaves any previous checkpoint
+    /// intact.
     pub fn save(&self, path: &Path) -> Result<(), CheckpointError> {
         let tmp = path.with_extension(match path.extension() {
             Some(ext) => format!("{}.tmp", ext.to_string_lossy()),
             None => "tmp".to_string(),
         });
-        std::fs::write(&tmp, self.to_json())?;
+        let mut file = BufWriter::new(File::create(&tmp)?);
+        serde_json::to_writer(&mut file, self).map_err(std::io::Error::from)?;
+        // Dropping a `BufWriter` discards its flush error; `into_inner`
+        // reports it, and closes the file before the rename.
+        file.into_inner()
+            .map_err(std::io::IntoInnerError::into_error)?;
         std::fs::rename(&tmp, path)?;
         Ok(())
     }
@@ -173,7 +181,7 @@ impl CrawlCheckpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::DatasetMeta;
+    use crate::dataset::{fnv1a64, DatasetMeta};
     use geoserp_geo::{Seed, UsGeography, VantagePoints};
 
     fn small_checkpoint() -> CrawlCheckpoint {
@@ -264,6 +272,28 @@ mod tests {
         ckpt2.save(&path).unwrap();
         assert_eq!(CrawlCheckpoint::load(&path).unwrap().completed_rounds, 5);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn save_streams_exactly_the_json_form() {
+        let dir = std::env::temp_dir().join(format!("geoserp-ckpt-bytes-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("crawl.ckpt.json");
+        let ckpt = small_checkpoint();
+        ckpt.save(&path).unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), ckpt.to_json());
+        assert_eq!(ckpt.digest(), fnv1a64(ckpt.to_json().as_bytes()));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn save_into_a_missing_directory_is_an_io_error() {
+        let path = std::env::temp_dir()
+            .join(format!("geoserp-ckpt-missing-{}", std::process::id()))
+            .join("crawl.ckpt.json");
+        let err = small_checkpoint().save(&path).unwrap_err();
+        assert!(matches!(err, CheckpointError::Io(_)), "{err}");
+        assert!(!path.exists());
     }
 
     #[test]

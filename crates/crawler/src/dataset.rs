@@ -91,12 +91,47 @@ pub struct DatasetMeta {
 /// FNV-1a, 64-bit — the stable digest used for plan hashes and dataset
 /// golden tests (dependency-free and identical across platforms).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut h = Fnv1a::default();
+    h.update(bytes);
+    h.0
+}
+
+/// A running FNV-1a hash that is also an `io::Write` sink, so a digest can
+/// be taken over a serializer's stream without holding the text.
+pub(crate) struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    hash
+}
+
+impl Fnv1a {
+    fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+impl std::io::Write for Fnv1a {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.update(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// FNV-1a over `value`'s compact JSON, streamed: equal to
+/// `fnv1a64(serde_json::to_string(value).as_bytes())`.
+pub(crate) fn json_digest<T: Serialize + ?Sized>(value: &T) -> u64 {
+    let mut h = Fnv1a::default();
+    serde_json::to_writer(&mut h, value).expect("hashing cannot fail");
+    h.0
 }
 
 /// The full collected dataset.
@@ -215,7 +250,7 @@ impl Dataset {
     /// determinism tests commit these values so a silent perturbation of
     /// the crawl's determinism fails a named test.
     pub fn digest(&self) -> u64 {
-        fnv1a64(self.to_json().as_bytes())
+        json_digest(self)
     }
 
     /// Deserialize from JSON (restores the URL index).
@@ -355,6 +390,8 @@ mod tests {
         let o = obs(&mut b, 0, 1, "bank", Role::Treatment, &["u"]);
         b.push(o);
         assert_eq!(a.digest(), b.digest());
+        // The streamed digest is FNV-1a over exactly the JSON text.
+        assert_eq!(a.digest(), fnv1a64(a.to_json().as_bytes()));
     }
 
     #[test]
