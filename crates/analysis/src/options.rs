@@ -5,7 +5,7 @@ use geoserp_pool::Workers;
 /// How the analysis pipeline executes.
 ///
 /// The default (`Workers::Auto`) shards the pairwise comparisons, the
-/// per-cell inference and the per-figure rendering across the host's cores;
+/// significance tests and the per-figure rendering across the host's cores;
 /// `Workers::Fixed(1)` runs all of it inline. Every setting produces
 /// byte-identical reports — worker count changes wall-clock, never output.
 /// The struct is `#[non_exhaustive]`: construct it through
@@ -15,7 +15,7 @@ use geoserp_pool::Workers;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct AnalysisOptions {
-    /// Worker policy for pairwise comparisons, per-cell inference, and
+    /// Worker policy for pairwise comparisons, significance tests, and
     /// per-figure fan-out.
     pub workers: Workers,
 }

@@ -46,10 +46,13 @@ impl SignificanceRow {
 ///
 /// `rounds` permutations per cell (1,000 is plenty for α = 0.01); fully
 /// deterministic in `seed`. Every cell draws from its own derived seed
-/// (`seed → granularity slug → category label`), so the RNG stream of one
-/// cell never depends on how many draws an earlier cell consumed — which is
-/// also what lets the cells run on the index's [`geoserp_pool::DetPool`]
-/// without changing a single p-value.
+/// (`seed → granularity slug → category label`), and within a cell the
+/// permutation test and the bootstrap each derive their own stream, so no
+/// test's RNG stream depends on how many draws another consumed. That is
+/// what lets the tests run on the index's [`geoserp_pool::DetPool`] without
+/// changing a single p-value: each cell's samples are collected once, then
+/// every permutation test and then every bootstrap is its own pool task,
+/// which balances the workers better than one task per cell.
 pub fn personalization_significance(
     idx: &ObsIndex<'_>,
     rounds: usize,
@@ -58,44 +61,96 @@ pub fn personalization_significance(
     let mut cells = Vec::new();
     for gran in idx.granularities() {
         for category in idx.categories() {
-            cells.push((gran, category));
+            let samples = CellSamples::collect(idx, (gran, category));
+            cells.push((gran, category, samples));
         }
     }
-    idx.pool()
-        .map_indexed("analysis.significance_cells", None, &cells, |_, cell| {
-            significance_cell(idx, *cell, rounds, seed)
+    // Task `t < n` is cell `t`'s permutation test; task `n + t` is its
+    // bootstrap.
+    let n = cells.len();
+    let tests: Vec<usize> = (0..2 * n).collect();
+    let outcomes = idx
+        .pool()
+        .map_indexed("analysis.significance_tests", None, &tests, |_, &t| {
+            let (gran, category, samples) = &cells[t % n];
+            let cell_seed = seed.derive(gran.slug()).derive(category.label());
+            if t < n {
+                (samples.p_value(rounds, cell_seed), None)
+            } else {
+                (None, samples.ci(cell_seed))
+            }
+        });
+    cells
+        .iter()
+        .enumerate()
+        .map(|(t, (gran, category, samples))| {
+            samples.row((*gran, *category), outcomes[n + t].1, outcomes[t].0)
         })
+        .collect()
 }
 
-/// One (granularity, category) significance cell — the unit of work for the
-/// parallel fan-out above, and the target of the RNG-order regression tests:
-/// computing a single cell in isolation must equal the same row from the
-/// full run.
+/// One cell's edit-distance samples.
+struct CellSamples {
+    pers: Vec<f64>,
+    noise: Vec<f64>,
+}
+
+impl CellSamples {
+    fn collect(idx: &ObsIndex<'_>, (gran, category): (Granularity, QueryCategory)) -> Self {
+        let mut pers = Vec::new();
+        idx.for_each_treatment_pair(gran, category, |a, b| {
+            pers.push(idx.pair_edit(a, b));
+        });
+        let mut noise = Vec::new();
+        idx.for_each_noise_pair(gran, category, |t, c| {
+            noise.push(idx.pair_edit(t, c));
+        });
+        CellSamples { pers, noise }
+    }
+
+    fn p_value(&self, rounds: usize, cell_seed: Seed) -> Option<f64> {
+        permutation_test(&self.pers, &self.noise, rounds, cell_seed).map(|t| t.p_value)
+    }
+
+    fn ci(&self, cell_seed: Seed) -> Option<ConfidenceInterval> {
+        bootstrap_mean_ci(&self.pers, 0.95, 1_000, cell_seed)
+    }
+
+    fn row(
+        &self,
+        (granularity, category): (Granularity, QueryCategory),
+        personalization_ci: Option<ConfidenceInterval>,
+        p_value: Option<f64>,
+    ) -> SignificanceRow {
+        let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len().max(1) as f64;
+        SignificanceRow {
+            granularity,
+            category,
+            personalization_mean: mean(&self.pers),
+            noise_mean: mean(&self.noise),
+            personalization_ci,
+            p_value,
+            samples: (self.pers.len(), self.noise.len()),
+        }
+    }
+}
+
+/// One (granularity, category) significance cell, computed alone — the
+/// reference for the RNG-order regression tests: computing a single cell in
+/// isolation must equal the same row from the pooled full run.
 pub fn significance_cell(
     idx: &ObsIndex<'_>,
-    (gran, category): (Granularity, QueryCategory),
+    cell: (Granularity, QueryCategory),
     rounds: usize,
     seed: Seed,
 ) -> SignificanceRow {
-    let mut pers = Vec::new();
-    idx.for_each_treatment_pair(gran, category, |a, b| {
-        pers.push(idx.pair_edit(a, b));
-    });
-    let mut noise = Vec::new();
-    idx.for_each_noise_pair(gran, category, |t, c| {
-        noise.push(idx.pair_edit(t, c));
-    });
-    let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len().max(1) as f64;
-    let cell_seed = seed.derive(gran.slug()).derive(category.label());
-    SignificanceRow {
-        granularity: gran,
-        category,
-        personalization_mean: mean(&pers),
-        noise_mean: mean(&noise),
-        personalization_ci: bootstrap_mean_ci(&pers, 0.95, 1_000, cell_seed),
-        p_value: permutation_test(&pers, &noise, rounds, cell_seed).map(|t| t.p_value),
-        samples: (pers.len(), noise.len()),
-    }
+    let samples = CellSamples::collect(idx, cell);
+    let cell_seed = seed.derive(cell.0.slug()).derive(cell.1.label());
+    samples.row(
+        cell,
+        samples.ci(cell_seed),
+        samples.p_value(rounds, cell_seed),
+    )
 }
 
 /// Render the significance table.

@@ -1440,6 +1440,33 @@ mod tests {
     }
 
     #[test]
+    fn analyze_rejects_datasets_naming_unknown_locations_or_urls() {
+        let file = std::env::temp_dir().join(format!("geoserp-stray-{}.json", std::process::id()));
+        let path = file.to_string_lossy().to_string();
+        cmd_run(&run_args(&format!(
+            "run --scale quick --seed 2015 --quiet --save {path}"
+        )))
+        .unwrap();
+        let json = std::fs::read_to_string(&file).unwrap();
+        // Rewrite the first observation's location, then its first URL id.
+        let first = json.find("\"observations\":[").unwrap();
+        for (key, needle) in [
+            ("\"location\":", "location 4294967295"),
+            ("\"results\":[[", "URL id 4294967295"),
+        ] {
+            let at = first + json[first..].find(key).unwrap() + key.len();
+            let end = at + json[at..].find(|c: char| !c.is_ascii_digit()).unwrap();
+            std::fs::write(&file, format!("{}4294967295{}", &json[..at], &json[end..])).unwrap();
+            let p = parse(&argv(&format!("analyze {path}")), &[], &[]).unwrap();
+            match cmd_analyze(&p) {
+                Err(CliError::Invalid(msg)) => assert!(msg.contains(needle), "{msg}"),
+                other => panic!("{key} accepted: {:?}", other.map(|_| ())),
+            }
+        }
+        std::fs::remove_file(&file).ok();
+    }
+
+    #[test]
     fn compare_reports_shape_verdicts() {
         let p = parse(
             &argv("compare --scale quick --seed 2015"),

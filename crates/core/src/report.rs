@@ -43,7 +43,7 @@ type Section<'a> = (&'a str, Box<dyn Fn() -> String + Send + Sync + 'a>);
 
 /// Render the full report with explicit [`AnalysisOptions`].
 ///
-/// The shared pairwise-comparison cache is computed once, and the eleven
+/// The shared pairwise-comparison store is computed once, and the eleven
 /// report sections fan out over a deterministic worker pool sized by
 /// `options`. The differential battery in `tests/analysis_parallel.rs`
 /// asserts the outputs are identical for every worker count.

@@ -128,7 +128,9 @@ impl CrawlCheckpoint {
     }
 
     /// Deserialize from JSON. Restores the dataset's URL index and rejects
-    /// foreign layout versions; malformed input is a clean error.
+    /// foreign layout versions; malformed input, including a dataset that
+    /// names a location outside its vantage points or a URL id outside its
+    /// table, is a clean error.
     pub fn from_json(s: &str) -> Result<Self, CheckpointError> {
         let mut ckpt: CrawlCheckpoint =
             serde_json::from_str(s).map_err(|e| CheckpointError::Parse(e.to_string()))?;
@@ -144,6 +146,7 @@ impl CrawlCheckpoint {
                 ckpt.completed_rounds, ckpt.total_rounds
             )));
         }
+        ckpt.dataset.validate().map_err(CheckpointError::Parse)?;
         ckpt.dataset.rebuild_index();
         Ok(ckpt)
     }
@@ -181,8 +184,8 @@ impl CrawlCheckpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::{fnv1a64, DatasetMeta};
-    use geoserp_geo::{Seed, UsGeography, VantagePoints};
+    use crate::dataset::{fnv1a64, DatasetMeta, Observation, Role, UrlId};
+    use geoserp_geo::{LocationId, Seed, UsGeography, VantagePoints};
 
     fn small_checkpoint() -> CrawlCheckpoint {
         let geo = UsGeography::generate(Seed::new(1));
@@ -253,6 +256,36 @@ mod tests {
         ckpt.completed_rounds = ckpt.total_rounds + 1;
         let err = CrawlCheckpoint::from_json(&ckpt.to_json()).unwrap_err();
         assert!(matches!(err, CheckpointError::Parse(_)));
+    }
+
+    #[test]
+    fn datasets_naming_unknown_locations_or_urls_are_refused() {
+        let mut ckpt = small_checkpoint();
+        let location = ckpt.dataset.vantage.county[0].id;
+        let observation = |location, url| Observation {
+            day: 3,
+            block_day: 0,
+            granularity: geoserp_geo::Granularity::County,
+            location,
+            term: "park".into(),
+            category: geoserp_corpus::QueryCategory::Local,
+            role: Role::Treatment,
+            results: vec![(UrlId(url), geoserp_serp::ResultType::Organic)],
+            datacenter: "dc0".into(),
+            reported_location: "Cleveland, OH".into(),
+        };
+        ckpt.dataset.push(observation(location, 1));
+        assert!(CrawlCheckpoint::from_json(&ckpt.to_json()).is_ok());
+        for (bad, needle) in [
+            (observation(LocationId(u32::MAX), 0), "location 4294967295"),
+            (observation(location, 2), "URL id 2"),
+        ] {
+            let mut ckpt = small_checkpoint();
+            ckpt.dataset.push(bad);
+            let err = CrawlCheckpoint::from_json(&ckpt.to_json()).unwrap_err();
+            assert!(matches!(err, CheckpointError::Parse(_)), "{err}");
+            assert!(err.to_string().contains(needle), "{err}");
+        }
     }
 
     #[test]

@@ -240,6 +240,43 @@ impl Dataset {
             .collect();
     }
 
+    /// Check what analysis relies on and the JSON types cannot express:
+    /// every observation names one of the dataset's vantage points and only
+    /// URL ids its table holds. Both loaders run this, so a hand-edited file
+    /// is refused with a message instead of panicking in a later lookup.
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        let mut vantage: Vec<LocationId> = [
+            &self.vantage.national,
+            &self.vantage.state,
+            &self.vantage.county,
+        ]
+        .into_iter()
+        .flatten()
+        .map(|l| l.id)
+        .collect();
+        vantage.sort_unstable();
+        for (i, obs) in self.observations.iter().enumerate() {
+            if vantage.binary_search(&obs.location).is_err() {
+                return Err(format!(
+                    "observation {i} names location {}, which is not one of the dataset's vantage points",
+                    obs.location.0
+                ));
+            }
+            if let Some((id, _)) = obs
+                .results
+                .iter()
+                .find(|(id, _)| id.0 as usize >= self.urls.len())
+            {
+                return Err(format!(
+                    "observation {i} names URL id {}, but the dataset holds {} URLs",
+                    id.0,
+                    self.urls.len()
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// Serialize to JSON.
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("dataset serializes")
@@ -253,9 +290,12 @@ impl Dataset {
         json_digest(self)
     }
 
-    /// Deserialize from JSON (restores the URL index).
+    /// Deserialize from JSON (restores the URL index). A document whose
+    /// observations name a location outside its vantage points, or a URL id
+    /// outside its table, is an error.
     pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
         let mut d: Dataset = serde_json::from_str(s)?;
+        d.validate().map_err(serde_json::Error::custom)?;
         d.rebuild_index();
         Ok(d)
     }
@@ -342,7 +382,8 @@ mod tests {
     #[test]
     fn json_roundtrip_restores_index() {
         let mut ds = empty_dataset();
-        let o = obs(&mut ds, 0, 7, "park", Role::Treatment, &["a", "b", "c"]);
+        let loc = ds.vantage.county[0].id.0;
+        let o = obs(&mut ds, 0, loc, "park", Role::Treatment, &["a", "b", "c"]);
         ds.push(o);
         let json = ds.to_json();
         let mut back = Dataset::from_json(&json).unwrap();
@@ -355,6 +396,25 @@ mod tests {
         let id = back.intern("a");
         assert_eq!(back.url(id), "a");
         assert_eq!(back.distinct_urls(), 3);
+    }
+
+    #[test]
+    fn from_json_rejects_unknown_locations_and_url_ids() {
+        let mut ds = empty_dataset();
+        let loc = ds.vantage.county[0].id.0;
+        let o = obs(&mut ds, 0, loc, "park", Role::Treatment, &["a", "b"]);
+        ds.push(o);
+        assert!(Dataset::from_json(&ds.to_json()).is_ok());
+
+        let mut stray = ds.clone();
+        stray.observations[0].location = LocationId(u32::MAX);
+        let err = Dataset::from_json(&stray.to_json()).unwrap_err();
+        assert!(err.to_string().contains("location 4294967295"), "{err}");
+
+        let mut dangling = ds.clone();
+        dangling.observations[0].results[1].0 = UrlId(2);
+        let err = Dataset::from_json(&dangling.to_json()).unwrap_err();
+        assert!(err.to_string().contains("URL id 2"), "{err}");
     }
 
     #[test]

@@ -169,9 +169,11 @@ fn instrumented_parallel_report_matches_and_records_pool_metrics() {
 }
 
 /// RNG-order audit: every significance cell draws from its own derived seed,
-/// so a cell's p-value and CI are identical whether the cell is computed
-/// alone, in the serial full run, or in the pooled full run — the property
-/// that makes per-cell parallelism safe.
+/// and its permutation test and bootstrap from their own derived streams, so
+/// a cell's p-value and CI are identical whether the cell is computed alone,
+/// in the serial full run, or in a pooled full run whose tests are spread
+/// one per task over 2 or 3 workers — the property that makes per-test
+/// parallelism safe.
 #[test]
 fn significance_cells_are_rng_order_independent() {
     let ds = dataset(&quick_plan(), 2015);
@@ -179,12 +181,15 @@ fn significance_cells_are_rng_order_independent() {
     let rounds = 400;
 
     let serial_idx = ObsIndex::new(&ds);
-    let pooled_idx = ObsIndex::with_options(&ds, &AnalysisOptions::fixed(2), None);
-
     let full_serial = personalization_significance(&serial_idx, rounds, seed);
-    let full_pooled = personalization_significance(&pooled_idx, rounds, seed);
     assert_eq!(full_serial.len(), 9);
-    assert_eq!(full_serial.len(), full_pooled.len());
+    let full_pooled: Vec<_> = [2, 3]
+        .map(|workers| {
+            let pooled_idx = ObsIndex::with_options(&ds, &AnalysisOptions::fixed(workers), None);
+            personalization_significance(&pooled_idx, rounds, seed)
+        })
+        .into_iter()
+        .collect();
 
     for (i, row) in full_serial.iter().enumerate() {
         let cell = (row.granularity, row.category);
@@ -192,20 +197,16 @@ fn significance_cells_are_rng_order_independent() {
         // cell's RNG stream depended on its predecessors' draw counts, this
         // would differ from the full-run row.
         let alone = significance_cell(&ObsIndex::new(&ds), cell, rounds, seed);
-        assert_eq!(row.p_value, alone.p_value, "cell {cell:?} p-value coupled");
-        assert_eq!(
-            row.personalization_ci, alone.personalization_ci,
-            "cell {cell:?} CI coupled"
-        );
-        assert_eq!(row.personalization_mean, alone.personalization_mean);
-        assert_eq!(row.noise_mean, alone.noise_mean);
-        assert_eq!(row.samples, alone.samples);
-
-        let pooled_row = &full_pooled[i];
-        assert_eq!(row.p_value, pooled_row.p_value);
-        assert_eq!(row.personalization_ci, pooled_row.personalization_ci);
-        assert_eq!(row.personalization_mean, pooled_row.personalization_mean);
-        assert_eq!(row.noise_mean, pooled_row.noise_mean);
-        assert_eq!(row.samples, pooled_row.samples);
+        for other in std::iter::once(&alone).chain(full_pooled.iter().map(|rows| &rows[i])) {
+            assert_eq!((other.granularity, other.category), cell);
+            assert_eq!(row.p_value, other.p_value, "cell {cell:?} p-value coupled");
+            assert_eq!(
+                row.personalization_ci, other.personalization_ci,
+                "cell {cell:?} CI coupled"
+            );
+            assert_eq!(row.personalization_mean, other.personalization_mean);
+            assert_eq!(row.noise_mean, other.noise_mean);
+            assert_eq!(row.samples, other.samples);
+        }
     }
 }

@@ -143,7 +143,7 @@ fn assert_pages_identical(got: &[Response], want: &[Response], cell: &str) {
 }
 
 #[test]
-fn rich_pages_are_identical_across_topologies_and_backends() {
+fn rich_pages_are_identical_across_topologies() {
     let geo = UsGeography::generate(Seed::new(SEED));
     let entity = entity_query(&geo);
     let reqs = request_sequence(&geo, &entity);

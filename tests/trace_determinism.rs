@@ -104,7 +104,7 @@ fn routed_trace(cfg: ClusterConfig, extra_settle_ms: u64) -> String {
 }
 
 #[test]
-fn single_process_traces_are_byte_identical_across_backends_and_runs() {
+fn single_process_traces_are_byte_identical_across_runs() {
     let (trace, pages) = single_process_trace();
     let (trace_again, pages_again) = single_process_trace();
 
@@ -131,7 +131,7 @@ fn single_process_traces_are_byte_identical_across_backends_and_runs() {
 }
 
 #[test]
-fn routed_traces_are_byte_identical_across_backends_and_runs() {
+fn routed_traces_are_byte_identical_across_runs() {
     // A large hedge threshold keeps the fault-free cells hedge-free, so
     // the attempt set (one primary rpc per shard per scatter) is exact.
     let cfg = || ClusterConfig::new(2, 2).hedge_ms(5_000);
