@@ -1,9 +1,9 @@
 //! `geoserp-bench` — crawl-throughput benchmark.
 //!
-//! Runs the same plan on both crawl backends (serial and the persistent
-//! worker pool), verifies the datasets are byte-identical, and writes
-//! `BENCH_crawl.json` with wall-clock, rounds/sec, and SERPs/sec per backend
-//! and scale.
+//! Runs the same plan on both crawl backends (serial, and the worker pool
+//! of one crawl worker per CPU), verifies the datasets are byte-identical,
+//! and writes `BENCH_crawl.json` with wall-clock, rounds/sec, and SERPs/sec
+//! per backend and scale.
 //!
 //! Scales benchmarked default to `quick,medium`; set
 //! `GEOSERP_BENCH_SCALES=quick,full` (comma-separated) to change. The

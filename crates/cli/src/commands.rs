@@ -1383,6 +1383,33 @@ mod tests {
     }
 
     #[test]
+    fn resume_refuses_a_hand_edited_clock_or_base_day() {
+        let dir = std::env::temp_dir();
+        let ck = dir.join(format!("geoserp-ck-{}-edited.json", std::process::id()));
+        let cks = ck.to_string_lossy().to_string();
+        cmd_run(&run_args(&format!(
+            "run --scale quick --seed 9 --quiet \
+             --checkpoint {cks} --checkpoint-every 3 --max-rounds 3"
+        )))
+        .unwrap();
+        let genuine = CrawlCheckpoint::load(&ck).unwrap();
+        let mut later = genuine.clone();
+        later.clock_ms += 3 * 86_400_000;
+        let mut shifted = genuine;
+        shifted.base_day += 5;
+        for edited in [later, shifted] {
+            edited.save(&ck).unwrap();
+            let err = cmd_run(&run_args(&format!(
+                "run --scale quick --seed 9 --quiet --resume {cks}"
+            )))
+            .unwrap_err();
+            assert!(matches!(err, CliError::Invalid(_)), "{err}");
+            assert!(err.to_string().contains("checkpoint clock"), "{err}");
+        }
+        std::fs::remove_file(&ck).ok();
+    }
+
+    #[test]
     fn checkpoint_flags_are_validated_before_the_crawl() {
         let err = cmd_run(&run_args(
             "run --scale quick --checkpoint /tmp/x --checkpoint-every 0",

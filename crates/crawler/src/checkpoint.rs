@@ -5,10 +5,10 @@
 //! final dataset is byte-identical to an uninterrupted run. Because every
 //! source of randomness in the simulator is a pure function of (seed,
 //! per-source request sequence number, virtual time), the cursor is small:
-//! the partial [`Dataset`], the stats counters, the virtual clock, and the
-//! network's per-source sequence counters. Nothing inside the engine needs
-//! saving — see `Crawler::run_with_options` for the compatibility rules
-//! that make that true.
+//! the partial [`Dataset`] (whose metadata carries the crawl counters), the
+//! virtual clock, and the network's per-source sequence counters. Nothing
+//! inside the engine needs saving — see `Crawler::run_with_options` for
+//! the compatibility rules that make that true.
 //!
 //! Checkpoint files are streamed to `<path>.tmp` and renamed into place, so
 //! a crash mid-write leaves the previous checkpoint intact; a truncated or
@@ -25,35 +25,10 @@ use std::path::Path;
 
 /// Bumped whenever the checkpoint layout changes incompatibly; resume
 /// refuses checkpoints from other versions instead of misreading them.
-/// Version 2 added the `rate_limited` counter to [`CrawlStatsSnapshot`]
-/// and the dataset metadata.
-pub const CHECKPOINT_VERSION: u32 = 2;
-
-/// A plain-value snapshot of `CrawlStats` (whose live counters are
-/// atomics), taken at a round boundary for checkpointing.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CrawlStatsSnapshot {
-    /// HTTP requests issued (homepage + query per attempt).
-    pub requests_issued: u64,
-    /// Jobs that failed permanently after exhausting their retry budget.
-    pub failed_jobs: u64,
-    /// Fetch attempts, including retries.
-    pub attempts: u64,
-    /// Attempts beyond a job's first.
-    pub retries: u64,
-    /// Attempts whose body arrived but failed SERP parsing.
-    pub parse_failures: u64,
-    /// Attempts that failed at the transport layer.
-    pub net_errors: u64,
-    /// Attempts rejected with HTTP 429 (a subset of `net_errors`).
-    pub rate_limited: u64,
-    /// Total ghost-time backoff accumulated across all jobs, ms.
-    pub backoff_ms: u64,
-    /// Retries abandoned because their backoff would exceed the deadline.
-    pub deadline_giveups: u64,
-    /// The largest ghost backoff any single job accumulated, ms.
-    pub max_job_backoff_ms: u64,
-}
+/// Version 2 added the `rate_limited` counter; version 3 dropped the
+/// separate `stats` copy of the counters, which the dataset metadata
+/// already holds.
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 /// A crawl cursor: the full state needed to resume a run at a round
 /// boundary on a fresh world built from the same seed.
@@ -82,10 +57,10 @@ pub struct CrawlCheckpoint {
     pub drop_chance: f64,
     /// Fault-injector corruption probability.
     pub corrupt_chance: f64,
-    /// Stats counters at the boundary (rounds ≤ `completed_rounds` only, so
-    /// resume never double-counts a partially-completed round).
-    pub stats: CrawlStatsSnapshot,
-    /// The partial dataset: interned URL table + observations so far.
+    /// The partial dataset: interned URL table + observations so far. Its
+    /// metadata holds the crawl counters at the boundary (rounds ≤
+    /// `completed_rounds` only, so resume never double-counts a
+    /// partially-completed round).
     pub dataset: Dataset,
 }
 
@@ -190,7 +165,12 @@ mod tests {
     fn small_checkpoint() -> CrawlCheckpoint {
         let geo = UsGeography::generate(Seed::new(1));
         let vantage = VantagePoints::paper_defaults(&geo, Seed::new(1).derive("vp"));
-        let mut dataset = Dataset::new(vantage, DatasetMeta::default());
+        let meta = DatasetMeta {
+            attempts: 20,
+            retries: 4,
+            ..DatasetMeta::default()
+        };
+        let mut dataset = Dataset::new(vantage, meta);
         dataset.intern("https://example.com/a");
         dataset.intern("https://example.com/b");
         CrawlCheckpoint {
@@ -207,11 +187,6 @@ mod tests {
             ],
             drop_chance: 0.1,
             corrupt_chance: 0.05,
-            stats: CrawlStatsSnapshot {
-                attempts: 20,
-                retries: 4,
-                ..CrawlStatsSnapshot::default()
-            },
             dataset,
         }
     }
@@ -222,7 +197,7 @@ mod tests {
         let back = CrawlCheckpoint::from_json(&ckpt.to_json()).unwrap();
         assert_eq!(back.plan_hash, ckpt.plan_hash);
         assert_eq!(back.net_cursor, ckpt.net_cursor);
-        assert_eq!(back.stats, ckpt.stats);
+        assert_eq!(back.dataset.meta, ckpt.dataset.meta);
         assert_eq!(back.clock_ms, ckpt.clock_ms);
         assert_eq!(back.digest(), ckpt.digest());
         // The URL index was rebuilt: interning an existing URL dedups.
@@ -248,6 +223,21 @@ mod tests {
         let err = CrawlCheckpoint::from_json(&ckpt.to_json()).unwrap_err();
         assert!(matches!(err, CheckpointError::Mismatch(_)));
         assert!(err.to_string().contains("version"));
+    }
+
+    #[test]
+    fn a_version_2_file_with_its_stats_copy_is_refused() {
+        let json = small_checkpoint().to_json();
+        let v3 = format!("{{\"version\":{CHECKPOINT_VERSION},");
+        assert!(json.starts_with(&v3), "{}", &json[..40]);
+        let v2 = json.replacen(
+            &v3,
+            "{\"version\":2,\"stats\":{\"attempts\":20,\"retries\":4},",
+            1,
+        );
+        let err = CrawlCheckpoint::from_json(&v2).unwrap_err();
+        assert!(matches!(err, CheckpointError::Mismatch(_)), "{err}");
+        assert!(err.to_string().contains("version 2"), "{err}");
     }
 
     #[test]

@@ -25,9 +25,9 @@
 //!   queries with the same GPS coordinate from 50 machines with wildly
 //!   different IP locations, quantifying how dominant the GPS signal is.
 //!
-//! Crawls are deterministic even in parallel mode: each machine is driven by
-//! one thread, the network hands out per-source sequence numbers, and
-//! results are committed in plan order.
+//! Crawls are deterministic for every worker count: each machine's jobs run
+//! in job-index order on whichever worker claims it, the network hands out
+//! per-source sequence numbers, and results are committed in plan order.
 //!
 //! Crawls are also crash-safe: [`Crawler::run_with_options`] emits a
 //! [`CrawlCheckpoint`] (the serialized crawl cursor: partial dataset, stats,
@@ -46,7 +46,7 @@ pub mod run;
 pub mod validation;
 pub mod workers;
 
-pub use checkpoint::{CheckpointError, CrawlCheckpoint, CrawlStatsSnapshot, CHECKPOINT_VERSION};
+pub use checkpoint::{CheckpointError, CrawlCheckpoint, CHECKPOINT_VERSION};
 pub use dataset::{fnv1a64, Dataset, DatasetMeta, Observation, Role, UrlId};
 pub use export::{observations_csv, results_csv, to_jsonl};
 pub use machines::MachinePool;

@@ -72,9 +72,9 @@ impl MachinePool {
 
     /// The machine serving job number `i` (round-robin).
     ///
-    /// Invariant relied on by the persistent worker pool: job `i` maps to
-    /// pool slot `i % len()`, so partitioning a round's jobs by that rule
-    /// reproduces exactly the per-machine request order of a serial crawl.
+    /// Invariant relied on by the crawl executor: job `i` maps to pool slot
+    /// `i % len()`, so fetching each machine's jobs in job-index order
+    /// fixes every machine's request order for any worker count.
     pub fn assign(&self, i: usize) -> Ipv4Addr {
         self.machines[i % self.machines.len()].0
     }
@@ -129,8 +129,8 @@ mod tests {
 
     #[test]
     fn assignment_matches_slot_index_partitioning() {
-        // The worker pool partitions jobs as `i % len()` into per-machine
-        // queues; that must agree with `assign` for every job index.
+        // The crawl executor claims jobs as `i % len()` per machine; that
+        // must agree with `assign` for every job index.
         let pool = MachinePool::cluster(CLUSTER_SIZE, Coord::new(0.0, 0.0));
         let ips = pool.ips();
         for i in 0..3 * CLUSTER_SIZE {

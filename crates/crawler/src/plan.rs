@@ -30,10 +30,10 @@ pub struct ExperimentPlan {
     /// Virtual minutes between consecutive terms (11 defeats the 10-minute
     /// history window, §2.2).
     pub inter_query_wait_min: u64,
-    /// Run on the persistent worker pool (`CrawlBackend::WorkerPool`, one
-    /// long-lived thread per machine) instead of serially on the scheduler
-    /// thread. Datasets are byte-identical either way; the pool is faster
-    /// on multicore and avoids per-round thread churn.
+    /// Run on one crawl worker per available CPU
+    /// (`CrawlBackend::WorkerPool`) instead of inline on the scheduler
+    /// thread. Datasets are byte-identical either way; the workers are
+    /// faster on multicore.
     pub parallel: bool,
     /// How jobs respond to transient failures: attempt budgets, ghost-time
     /// backoff, and the optional per-round deadline.

@@ -1,11 +1,11 @@
 //! The crawl runner: world construction and lock-step execution.
 
-use crate::checkpoint::{CheckpointError, CrawlCheckpoint, CrawlStatsSnapshot, CHECKPOINT_VERSION};
+use crate::checkpoint::{CheckpointError, CrawlCheckpoint, CHECKPOINT_VERSION};
 use crate::dataset::{Dataset, DatasetMeta, Observation, Role};
 use crate::machines::{MachinePool, CLUSTER_SIZE};
 use crate::plan::ExperimentPlan;
 use crate::retry::RetryPolicy;
-use crate::workers::{CrawlBackend, PersistentPool, RoundResult};
+use crate::workers::{CrawlBackend, Executor};
 use geoserp_browser::{Browser, BrowserError};
 use geoserp_corpus::{Query, WebCorpus};
 use geoserp_engine::{EngineConfig, SearchEngine, SearchService, SEARCH_HOST};
@@ -57,44 +57,29 @@ pub struct CrawlStats {
 }
 
 impl CrawlStats {
-    /// Plain-value snapshot for checkpointing. Taken at a round boundary on
-    /// the scheduler thread (the mpsc round barrier orders every worker's
-    /// relaxed increments before the scheduler reads them).
-    pub fn snapshot(&self) -> CrawlStatsSnapshot {
-        CrawlStatsSnapshot {
-            requests_issued: self.requests_issued.load(Ordering::Relaxed),
-            failed_jobs: self.failed_jobs.load(Ordering::Relaxed),
-            attempts: self.attempts.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-            parse_failures: self.parse_failures.load(Ordering::Relaxed),
-            net_errors: self.net_errors.load(Ordering::Relaxed),
-            rate_limited: self.rate_limited.load(Ordering::Relaxed),
-            backoff_ms: self.backoff_ms.load(Ordering::Relaxed),
-            deadline_giveups: self.deadline_giveups.load(Ordering::Relaxed),
-            max_job_backoff_ms: self.max_job_backoff_ms.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Counters pre-loaded from a checkpoint: the resumed run continues the
-    /// totals instead of restarting them, and because the snapshot was
-    /// taken at a round boundary it contains no attempts from any round the
-    /// resume will re-execute — nothing is double-counted.
-    pub fn from_snapshot(snap: &CrawlStatsSnapshot) -> Self {
+    /// Counters pre-loaded from a checkpoint's dataset metadata: the
+    /// resumed run continues the totals instead of restarting them, and
+    /// because the checkpoint was taken at a round boundary they contain no
+    /// attempts from any round the resume will re-execute — nothing is
+    /// double-counted.
+    pub fn from_meta(meta: &DatasetMeta) -> Self {
         CrawlStats {
-            requests_issued: AtomicU64::new(snap.requests_issued),
-            failed_jobs: AtomicU64::new(snap.failed_jobs),
-            attempts: AtomicU64::new(snap.attempts),
-            retries: AtomicU64::new(snap.retries),
-            parse_failures: AtomicU64::new(snap.parse_failures),
-            net_errors: AtomicU64::new(snap.net_errors),
-            rate_limited: AtomicU64::new(snap.rate_limited),
-            backoff_ms: AtomicU64::new(snap.backoff_ms),
-            deadline_giveups: AtomicU64::new(snap.deadline_giveups),
-            max_job_backoff_ms: AtomicU64::new(snap.max_job_backoff_ms),
+            requests_issued: AtomicU64::new(meta.requests_issued),
+            failed_jobs: AtomicU64::new(meta.failed_jobs),
+            attempts: AtomicU64::new(meta.attempts),
+            retries: AtomicU64::new(meta.retries),
+            parse_failures: AtomicU64::new(meta.parse_failures),
+            net_errors: AtomicU64::new(meta.net_errors),
+            rate_limited: AtomicU64::new(meta.rate_limited),
+            backoff_ms: AtomicU64::new(meta.backoff_ms),
+            deadline_giveups: AtomicU64::new(meta.deadline_giveups),
+            max_job_backoff_ms: AtomicU64::new(meta.max_job_backoff_ms),
         }
     }
 
     /// Copy the counters into a dataset's metadata (leaves `seed` alone).
+    /// Read at round boundaries on the scheduler thread, after the round
+    /// barrier has ordered every worker's relaxed increments before it.
     pub fn apply_to_meta(&self, meta: &mut DatasetMeta) {
         meta.failed_jobs = self.failed_jobs.load(Ordering::Relaxed);
         meta.requests_issued = self.requests_issued.load(Ordering::Relaxed);
@@ -195,8 +180,6 @@ pub struct CrawlProgress {
 /// fetches `term` twice (treatment + control) at the same virtual instant.
 struct RoundDesc<'a> {
     term: &'a Query,
-    /// The term as a cheaply-cloneable handle for worker channels.
-    term_arc: Arc<str>,
     gran: geoserp_geo::Granularity,
     locs: &'a [Location],
     /// Day within the (batch, granularity) block, 0-based.
@@ -209,57 +192,13 @@ struct RoundDesc<'a> {
 }
 
 /// Everything a job produces.
-pub(crate) struct JobOutput {
-    pub(crate) page: SerpPage,
-    pub(crate) datacenter: String,
+struct JobOutput {
+    page: SerpPage,
+    datacenter: String,
 }
 
-/// Where a round's jobs execute. Both runners feed the same pipelined round
-/// loop in [`Crawler::run_with_options`]; they differ only in which threads
-/// do the fetching.
-enum RoundRunner {
-    /// Every job runs in plan order on the scheduler thread, at dispatch.
-    Serial,
-    /// Persistent per-machine workers fetch while the scheduler interns.
-    Pool(PersistentPool),
-}
-
-impl RoundRunner {
-    /// Fetch one round, running `overlap` on the scheduler thread between
-    /// dispatch and the round barrier.
-    fn run(
-        &self,
-        crawler: &Crawler,
-        round: &RoundDesc,
-        policy: &RetryPolicy,
-        stats: &CrawlStats,
-        round_span: u64,
-        overlap: impl FnOnce(),
-    ) -> Vec<RoundResult> {
-        match self {
-            RoundRunner::Serial => {
-                let results = crawler.run_round_serial(round, policy, stats, round_span);
-                overlap();
-                results
-            }
-            RoundRunner::Pool(pool) => {
-                let expected = pool.dispatch(&round.term_arc, round.locs, round_span);
-                overlap();
-                pool.collect(expected)
-            }
-        }
-    }
-}
-
-/// Job-identity context threaded into [`Crawler::fetch_job`] so the job's
-/// spans carry their round parent and machine track.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct JobCtx {
-    /// Global job index within the round (also selects the machine).
-    pub(crate) index: usize,
-    /// Span ID of the enclosing round.
-    pub(crate) round_span: u64,
-}
+/// `(job index, fetch outcome)` for each job of a round.
+type RoundResults = Vec<(usize, Option<JobOutput>)>;
 
 /// Pre-resolved crawl-stage metric handles. Mirrors of the `CrawlStats`
 /// atomics live here so the registry exports the same totals `DatasetMeta`
@@ -509,9 +448,22 @@ impl Crawler {
         opts: CrawlOptions<'_>,
         progress: impl Fn(&CrawlProgress),
     ) -> Result<Dataset, CheckpointError> {
+        let workers = opts.backend.workers();
+        self.run_on(plan, opts, workers, progress)
+    }
+
+    /// [`run_with_options`](Self::run_with_options) on `workers` executor
+    /// workers, whatever `opts.backend` would pick on this host.
+    pub(crate) fn run_on(
+        &self,
+        plan: &ExperimentPlan,
+        opts: CrawlOptions<'_>,
+        workers: usize,
+        progress: impl Fn(&CrawlProgress),
+    ) -> Result<Dataset, CheckpointError> {
         plan.validate();
         let CrawlOptions {
-            backend,
+            backend: _,
             checkpoint_every,
             on_checkpoint,
             resume,
@@ -522,44 +474,10 @@ impl Crawler {
             self.check_checkpoint_compatible(plan)?;
         }
         let plan_hash = plan.stable_hash();
-        let (own_drop, own_corrupt) = self.net.fault_rates();
 
-        let mut resumed_total = None;
-        let (base_day, start_round, mut dataset, stats) = match resume {
+        let (base_day, rounds, start_round, mut dataset, stats) = match resume {
             Some(mut ckpt) => {
-                if ckpt.version != CHECKPOINT_VERSION {
-                    return Err(CheckpointError::Mismatch(format!(
-                        "checkpoint version {} (this build reads version {CHECKPOINT_VERSION})",
-                        ckpt.version
-                    )));
-                }
-                if ckpt.plan_hash != plan_hash {
-                    return Err(CheckpointError::Mismatch(
-                        "checkpoint was written under a different plan".into(),
-                    ));
-                }
-                if ckpt.seed != self.seed.value() {
-                    return Err(CheckpointError::Mismatch(format!(
-                        "checkpoint seed {} but this world was built from seed {}",
-                        ckpt.seed,
-                        self.seed.value()
-                    )));
-                }
-                if (ckpt.drop_chance, ckpt.corrupt_chance) != (own_drop, own_corrupt) {
-                    return Err(CheckpointError::Mismatch(format!(
-                        "checkpoint fault rates ({}, {}) but this world has ({own_drop}, \
-                         {own_corrupt})",
-                        ckpt.drop_chance, ckpt.corrupt_chance
-                    )));
-                }
-                let now = self.net.clock().now().millis();
-                if now > ckpt.clock_ms {
-                    return Err(CheckpointError::Mismatch(format!(
-                        "world clock ({now} ms) is already past the checkpoint \
-                         ({} ms) — resume needs a fresh world built from the same seed",
-                        ckpt.clock_ms
-                    )));
-                }
+                let rounds = self.resume_schedule(plan, &ckpt)?;
                 // Reposition the world at the cursor: clock and per-source
                 // request counters are the simulator's entire stream state.
                 self.net
@@ -567,9 +485,14 @@ impl Crawler {
                     .set(geoserp_net::clock::SimInstant(ckpt.clock_ms));
                 self.net.restore_seq_cursor(&ckpt.net_cursor);
                 ckpt.dataset.rebuild_index();
-                resumed_total = Some(ckpt.total_rounds);
-                let stats = CrawlStats::from_snapshot(&ckpt.stats);
-                (ckpt.base_day, ckpt.completed_rounds, ckpt.dataset, stats)
+                let stats = CrawlStats::from_meta(&ckpt.dataset.meta);
+                (
+                    ckpt.base_day,
+                    rounds,
+                    ckpt.completed_rounds,
+                    ckpt.dataset,
+                    stats,
+                )
             }
             None => {
                 // The next strict day boundary: a fresh world (t = 0) starts
@@ -590,24 +513,11 @@ impl Crawler {
                         ..DatasetMeta::default()
                     },
                 );
-                (base_day, 0, dataset, CrawlStats::default())
+                let rounds = self.schedule(plan, base_day);
+                (base_day, rounds, 0, dataset, CrawlStats::default())
             }
         };
-
-        let rounds = self.schedule(plan, base_day);
         let total_rounds = rounds.len();
-        if let Some(ckpt_total) = resumed_total {
-            if ckpt_total != total_rounds {
-                return Err(CheckpointError::Mismatch(format!(
-                    "checkpoint expects {ckpt_total} total rounds, plan schedules {total_rounds}"
-                )));
-            }
-        }
-        if start_round > total_rounds {
-            return Err(CheckpointError::Mismatch(format!(
-                "checkpoint completed {start_round} rounds of a {total_rounds}-round schedule"
-            )));
-        }
         let stop_at = stop_after_rounds.unwrap_or(total_rounds).min(total_rounds);
         let mut completed_rounds = start_round;
 
@@ -643,13 +553,11 @@ impl Crawler {
             dataset
         };
 
+        let fetch = |&(round, round_span): &(&RoundDesc, u64), index: usize| {
+            self.fetch_job(round, round_span, index, policy, &stats)
+        };
         let mut dataset = std::thread::scope(|scope| {
-            let runner = match backend {
-                CrawlBackend::Serial => RoundRunner::Serial,
-                CrawlBackend::WorkerPool => {
-                    RoundRunner::Pool(PersistentPool::start(scope, self, policy, &stats))
-                }
-            };
+            let executor = Executor::start(scope, workers, self.pool.len(), &fetch);
 
             // Reposition the virtual clock for a round: jump to the day
             // boundary at day starts (the schedule is strictly monotone, so
@@ -667,7 +575,7 @@ impl Crawler {
             let advance_clock = || self.net.clock().advance_minutes(plan.inter_query_wait_min);
 
             let finish_round = |round: &RoundDesc,
-                                results: Vec<RoundResult>,
+                                results: RoundResults,
                                 dataset: &mut Dataset,
                                 completed_rounds: &mut usize| {
                 self.absorb_round(dataset, round, results, &stats);
@@ -683,11 +591,11 @@ impl Crawler {
             };
 
             // Pipelined: fetch round N, and intern round N−1's URLs on the
-            // scheduler thread between dispatch and the barrier. Absorbing a
-            // round touches neither the clock nor the network, so the overlap
+            // scheduler thread while the workers fetch. Absorbing a round
+            // touches neither the clock nor the network, so the overlap
             // cannot change a byte; the barrier before the clock advance
             // keeps every fetch of a round at the same virtual instant.
-            let mut pending: Option<(&RoundDesc, Vec<RoundResult>)> = None;
+            let mut pending: Option<(&RoundDesc, RoundResults)> = None;
             for round in &rounds[start_round..] {
                 // Checkpoints and stops happen with the pipeline drained:
                 // absorb the in-flight round *before* this round's dispatch
@@ -708,7 +616,7 @@ impl Crawler {
                 position_clock(round);
                 let round_start = self.net.clock().now().millis();
                 let round_span = self.obs.spans().alloc_id();
-                let results = runner.run(self, round, policy, &stats, round_span, || {
+                let results = executor.round((round, round_span), round.locs.len() * 2, || {
                     if let Some((prev, results)) = pending.take() {
                         finish_round(prev, results, &mut dataset, &mut completed_rounds);
                     }
@@ -725,6 +633,92 @@ impl Crawler {
 
         stats.apply_to_meta(&mut dataset.meta);
         Ok(dataset)
+    }
+
+    /// Check a checkpoint against this world and `plan` before anything
+    /// moves, and return the schedule it resumes. Beyond its provenance
+    /// (version, plan, seed, fault rates), the cursor must sit on a round
+    /// boundary of that schedule: its clock must read the last completed
+    /// round's day start plus one inter-query wait per round of that day so
+    /// far. A hand-edited clock or base day is therefore a `Mismatch`, not
+    /// a panic on a rewinding clock or a silently shifted dataset.
+    fn resume_schedule(
+        &self,
+        plan: &ExperimentPlan,
+        ckpt: &CrawlCheckpoint,
+    ) -> Result<Vec<RoundDesc<'_>>, CheckpointError> {
+        let mismatch = |msg: String| Err(CheckpointError::Mismatch(msg));
+        if ckpt.version != CHECKPOINT_VERSION {
+            return mismatch(format!(
+                "checkpoint version {} (this build reads version {CHECKPOINT_VERSION})",
+                ckpt.version
+            ));
+        }
+        if ckpt.plan_hash != plan.stable_hash() {
+            return mismatch("checkpoint was written under a different plan".into());
+        }
+        if ckpt.seed != self.seed.value() {
+            return mismatch(format!(
+                "checkpoint seed {} but this world was built from seed {}",
+                ckpt.seed,
+                self.seed.value()
+            ));
+        }
+        let (own_drop, own_corrupt) = self.net.fault_rates();
+        if (ckpt.drop_chance, ckpt.corrupt_chance) != (own_drop, own_corrupt) {
+            return mismatch(format!(
+                "checkpoint fault rates ({}, {}) but this world has ({own_drop}, {own_corrupt})",
+                ckpt.drop_chance, ckpt.corrupt_chance
+            ));
+        }
+        if ckpt.base_day.checked_add(plan.total_days()).is_none() {
+            return mismatch(format!(
+                "checkpoint base day {} leaves no room for the plan's days",
+                ckpt.base_day
+            ));
+        }
+        let rounds = self.schedule(plan, ckpt.base_day);
+        if ckpt.total_rounds != rounds.len() {
+            return mismatch(format!(
+                "checkpoint expects {} total rounds, plan schedules {}",
+                ckpt.total_rounds,
+                rounds.len()
+            ));
+        }
+        let Some(last) = ckpt
+            .completed_rounds
+            .checked_sub(1)
+            .and_then(|i| rounds.get(i))
+        else {
+            return mismatch(format!(
+                "checkpoint completed {} rounds of a {}-round schedule",
+                ckpt.completed_rounds,
+                rounds.len()
+            ));
+        };
+        let day_rounds = rounds[..ckpt.completed_rounds]
+            .iter()
+            .rev()
+            .take_while(|r| r.abs_day == last.abs_day)
+            .count() as u64;
+        let expected_ms =
+            u64::from(last.abs_day) * DAY_MS + day_rounds * plan.inter_query_wait_min * 60_000;
+        if ckpt.clock_ms != expected_ms {
+            return mismatch(format!(
+                "checkpoint clock ({} ms) is not where its schedule leaves round {} \
+                 ({expected_ms} ms)",
+                ckpt.clock_ms, ckpt.completed_rounds
+            ));
+        }
+        let now = self.net.clock().now().millis();
+        if now > ckpt.clock_ms {
+            return mismatch(format!(
+                "world clock ({now} ms) is already past the checkpoint ({} ms) — resume \
+                 needs a fresh world built from the same seed",
+                ckpt.clock_ms
+            ));
+        }
+        Ok(rounds)
     }
 
     /// Assemble the cursor for `completed_rounds` rounds. Called at a round
@@ -753,7 +747,6 @@ impl Crawler {
             net_cursor: self.net.seq_cursor(),
             drop_chance,
             corrupt_chance,
-            stats: stats.snapshot(),
             dataset,
         }
     }
@@ -834,7 +827,6 @@ impl Crawler {
                     for (ti, term) in terms.iter().enumerate() {
                         rounds.push(RoundDesc {
                             term,
-                            term_arc: Arc::from(term.term.as_str()),
                             gran,
                             locs,
                             block_day: day,
@@ -854,7 +846,7 @@ impl Crawler {
         &self,
         dataset: &mut Dataset,
         round: &RoundDesc,
-        mut results: Vec<RoundResult>,
+        mut results: RoundResults,
         stats: &CrawlStats,
     ) {
         results.sort_by_key(|(index, _)| *index);
@@ -887,32 +879,6 @@ impl Crawler {
         }
     }
 
-    /// One round, in-order on the scheduler thread.
-    fn run_round_serial(
-        &self,
-        round: &RoundDesc,
-        policy: &RetryPolicy,
-        stats: &CrawlStats,
-        round_span: u64,
-    ) -> Vec<RoundResult> {
-        (0..round.locs.len() * 2)
-            .map(|index| {
-                let machine = self.pool.assign(index);
-                (
-                    index,
-                    self.fetch_job(
-                        machine,
-                        &round.term.term,
-                        round.locs[index / 2].coord,
-                        policy,
-                        stats,
-                        JobCtx { index, round_span },
-                    ),
-                )
-            })
-            .collect()
-    }
-
     /// One job: fresh browser, spoofed GPS, homepage + query, parse, retry
     /// on damage under the plan's [`RetryPolicy`], clear cookies.
     ///
@@ -920,18 +886,19 @@ impl Crawler {
     /// span, tid = machine track) plus one `crawler.attempt` span per fetch
     /// attempt, all stamped from the virtual clock — every job of a
     /// lock-step round starts at the same virtual instant, so the spans are
-    /// identical on every backend.
-    pub(crate) fn fetch_job(
+    /// identical for every worker count.
+    fn fetch_job(
         &self,
-        machine: std::net::Ipv4Addr,
-        term: &str,
-        coord: Coord,
+        round: &RoundDesc,
+        round_span: u64,
+        index: usize,
         policy: &RetryPolicy,
         stats: &CrawlStats,
-        job: JobCtx,
     ) -> Option<JobOutput> {
         self.metrics.jobs.inc();
-        let track = job.index % self.pool.len();
+        let machine = self.pool.assign(index);
+        let coord = round.locs[index / 2].coord;
+        let track = index % self.pool.len();
         self.metrics.machine_jobs[track].inc();
         let spans_on = self.obs.is_enabled();
         let tid = track as u32 + 1;
@@ -977,7 +944,7 @@ impl Crawler {
             stats.requests_issued.fetch_add(2, Ordering::Relaxed);
             self.metrics.requests_issued.add(2);
             let mut attempt_ms = 0u64;
-            let outcome = match browser.run_search_job(SEARCH_HOST, term, coord) {
+            let outcome = match browser.run_search_job(SEARCH_HOST, &round.term.term, coord) {
                 Ok(fetch) => {
                     attempt_ms = fetch.rtt_ms;
                     match geoserp_serp::parse(&fetch.body) {
@@ -1030,7 +997,7 @@ impl Crawler {
                     start_ms,
                     dur_ms: attempt_ms,
                     args: vec![
-                        ("job", job.index.to_string()),
+                        ("job", index.to_string()),
                         ("attempt", attempt.to_string()),
                         ("outcome", outcome.to_string()),
                     ],
@@ -1051,14 +1018,14 @@ impl Crawler {
         if spans_on {
             pending_spans.push(SpanRecord {
                 id: job_span,
-                parent: job.round_span,
-                name: format!("job {}", job.index).into(),
+                parent: round_span,
+                name: format!("job {index}").into(),
                 cat: "crawler.job",
                 tid,
                 start_ms,
                 dur_ms: serve_ms + ghost_backoff_ms,
                 args: vec![
-                    ("job", job.index.to_string()),
+                    ("job", index.to_string()),
                     ("machine", machine.to_string()),
                     (
                         "outcome",
@@ -1353,8 +1320,8 @@ mod tests {
                     c.dataset.observations().len() + c.dataset.meta.failed_jobs as usize,
                     c.completed_rounds * 6
                 );
-                // The boundary stats already live in the snapshot dataset.
-                assert_eq!(c.stats.attempts, c.dataset.meta.attempts);
+                // The boundary stats live in the checkpoint's dataset meta.
+                assert_eq!(c.dataset.meta.attempts, c.completed_rounds as u64 * 6);
             }
             // Checkpoint datasets are prefixes of the final dataset.
             assert_eq!(
@@ -1369,22 +1336,28 @@ mod tests {
         }
     }
 
+    /// The last checkpoint of a crawl of `plan` at seed 42, checkpointing
+    /// every `every` rounds and stopped after `stop`.
+    fn checkpoint_at(plan: &ExperimentPlan, every: usize, stop: usize) -> CrawlCheckpoint {
+        let last = std::cell::RefCell::new(None);
+        let sink = |c: &CrawlCheckpoint| *last.borrow_mut() = Some(c.clone());
+        let opts = CrawlOptions::new(CrawlBackend::Serial)
+            .checkpoint_every(every)
+            .on_checkpoint(&sink)
+            .stop_after_rounds(stop);
+        Crawler::new(Seed::new(42))
+            .run_with_options(plan, opts, |_| {})
+            .unwrap();
+        last.into_inner().expect("a checkpoint was written")
+    }
+
     #[test]
     fn resume_is_byte_identical_to_an_uninterrupted_run() {
         let plan = quick_plan();
         let full =
             Crawler::new(Seed::new(42)).run_with_backend(&plan, CrawlBackend::Serial, |_| {});
         // Interrupted run: checkpoint every 4 rounds, killed after 10.
-        let last = std::cell::RefCell::new(None);
-        let sink = |c: &CrawlCheckpoint| *last.borrow_mut() = Some(c.clone());
-        let opts = CrawlOptions::new(CrawlBackend::Serial)
-            .checkpoint_every(4)
-            .on_checkpoint(&sink)
-            .stop_after_rounds(10);
-        Crawler::new(Seed::new(42))
-            .run_with_options(&plan, opts, |_| {})
-            .unwrap();
-        let ckpt = last.into_inner().expect("a checkpoint was written");
+        let ckpt = checkpoint_at(&plan, 4, 10);
         assert_eq!(ckpt.completed_rounds, 8);
         // Resume on a fresh same-seed world replays rounds 9..18.
         let resumed = Crawler::new(Seed::new(42)).resume(ckpt, &plan).unwrap();
@@ -1439,17 +1412,51 @@ mod tests {
     }
 
     #[test]
+    fn resume_refuses_a_hand_edited_clock_or_base_day() {
+        // Two days, two rounds a day at the county granularity: round 4
+        // closes day 1, so the cursor's clock reads one day plus two waits.
+        let plan = ExperimentPlan {
+            days: 2,
+            queries_per_category: Some(1),
+            locations_per_granularity: Some(2),
+            ..ExperimentPlan::quick()
+        };
+        let ckpt = checkpoint_at(&plan, 2, 4);
+        assert_eq!((ckpt.completed_rounds, ckpt.total_rounds), (4, 18));
+        assert_eq!(ckpt.clock_ms, 87_720_000);
+
+        // A clock three days ahead used to pass every check and then panic
+        // when the next day start rewound the clock.
+        let mut later = ckpt.clone();
+        later.clock_ms += 3 * DAY_MS;
+        // A base day five days on used to resume into a shifted dataset.
+        let mut shifted = ckpt.clone();
+        shifted.base_day += 5;
+        let mut empty = ckpt.clone();
+        empty.completed_rounds = 0;
+        let mut overflowing = ckpt.clone();
+        overflowing.base_day = u32::MAX - 1;
+        for (edit, needle) in [
+            (later, "checkpoint clock"),
+            (shifted, "checkpoint clock"),
+            (empty, "completed 0 rounds"),
+            (overflowing, "base day"),
+        ] {
+            let err = Crawler::new(Seed::new(42)).resume(edit, &plan).unwrap_err();
+            assert!(matches!(err, CheckpointError::Mismatch(_)), "{err}");
+            assert!(err.to_string().contains(needle), "{err}");
+        }
+        // The untouched checkpoint still resumes.
+        let resumed = Crawler::new(Seed::new(42)).resume(ckpt, &plan).unwrap();
+        let full =
+            Crawler::new(Seed::new(42)).run_with_backend(&plan, CrawlBackend::Serial, |_| {});
+        assert_eq!(resumed.to_json(), full.to_json());
+    }
+
+    #[test]
     fn resume_refuses_foreign_plan_seed_and_faults() {
         let plan = quick_plan();
-        let last = std::cell::RefCell::new(None);
-        let sink = |c: &CrawlCheckpoint| *last.borrow_mut() = Some(c.clone());
-        let opts = CrawlOptions::new(CrawlBackend::Serial)
-            .checkpoint_every(4)
-            .on_checkpoint(&sink);
-        Crawler::new(Seed::new(42))
-            .run_with_options(&plan, opts, |_| {})
-            .unwrap();
-        let ckpt = last.into_inner().unwrap();
+        let ckpt = checkpoint_at(&plan, 4, 18);
 
         // Wrong plan.
         let mut other_plan = plan.clone();

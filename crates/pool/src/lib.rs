@@ -1,19 +1,12 @@
-//! Deterministic work sharding, shared by the crawler and the analysis
-//! pipeline.
+//! Deterministic work sharding for the analysis pipeline, and the
+//! worker-count policy the crawler sizes its executor with.
 //!
-//! Two layers live here:
-//!
-//! 1. [`ShardedPool`] — the persistent channel-fed worker machinery that
-//!    used to live inside `geoserp-crawler`: one long-lived worker per
-//!    shard, jobs partitioned round-robin by stable task index, results
-//!    funneled back tagged with their index. The crawler keeps its
-//!    per-machine pipelined rounds on top of this.
-//! 2. [`DetPool::map_indexed`] — a one-shot `map` over a slice: tasks are
-//!    statically sharded by index (worker *w* takes every *n*-th task),
-//!    results are reassembled in index order. Because the shard function is
-//!    a pure function of the task index and results are placed by index,
-//!    the output is byte-identical for every worker count, including
-//!    inline execution.
+//! [`DetPool::map_indexed`] is a one-shot `map` over a slice: tasks are
+//! statically sharded by index (worker *w* takes every *n*-th task), and
+//! results are reassembled in index order. Because the shard function is a
+//! pure function of the task index and results are placed by index, the
+//! output is byte-identical for every worker count, including inline
+//! execution.
 //!
 //! Determinism contract: nothing in this crate introduces ordering,
 //! timing, or RNG dependence. Callers must keep each task's computation a
@@ -23,11 +16,9 @@
 #![warn(missing_docs)]
 
 use geoserp_obs::ObsHub;
-use std::sync::mpsc;
-use std::sync::Arc;
-use std::thread::Scope;
 
-/// Worker-count policy for the analysis pipeline.
+/// Worker-count policy: the analysis pipeline's `--analysis-workers`, and
+/// the host sizing of the crawl executor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Workers {
     /// Use the host's available parallelism.
@@ -185,91 +176,6 @@ impl DetPool {
     }
 }
 
-/// Persistent channel-fed workers: one long-lived thread per shard, jobs
-/// partitioned round-robin by their stable index, results funneled back
-/// `(index, result)`. Extracted from the crawler's per-machine pool so the
-/// same machinery can back any sharded, index-deterministic workload.
-pub struct ShardedPool<J: Send, R: Send> {
-    /// Per-shard job queues.
-    job_txs: Vec<mpsc::Sender<Vec<(usize, J)>>>,
-    /// Results funnel shared by all workers.
-    results_rx: mpsc::Receiver<(usize, R)>,
-}
-
-impl<J: Send, R: Send> ShardedPool<J, R> {
-    /// Spawn `shards` workers as scoped threads. Each worker `w` runs
-    /// `run(w, index, job)` for every job dispatched to its shard, strictly
-    /// in dispatch order. Workers exit when the pool (and with it the job
-    /// senders) drops.
-    pub fn start<'scope, 'env, F>(scope: &'scope Scope<'scope, 'env>, shards: usize, run: F) -> Self
-    where
-        J: 'scope,
-        R: 'scope,
-        F: Fn(usize, usize, J) -> R + Send + Sync + 'env,
-    {
-        assert!(shards > 0, "a sharded pool needs at least one worker");
-        let run = Arc::new(run);
-        let (results_tx, results_rx) = mpsc::channel::<(usize, R)>();
-        let mut job_txs = Vec::with_capacity(shards);
-        for shard in 0..shards {
-            let (tx, rx) = mpsc::channel::<Vec<(usize, J)>>();
-            job_txs.push(tx);
-            let results_tx = results_tx.clone();
-            let run = Arc::clone(&run);
-            scope.spawn(move || {
-                // Per-shard FIFO: batches arrive in dispatch order and jobs
-                // within a batch are pre-sorted by index, so each shard's
-                // processing order is a pure function of the dispatch.
-                while let Ok(batch) = rx.recv() {
-                    for (index, job) in batch {
-                        let out = run(shard, index, job);
-                        if results_tx.send((index, out)).is_err() {
-                            return; // scheduler gone; shut down
-                        }
-                    }
-                }
-            });
-        }
-        // Workers hold the only result senders; `collect` can then detect a
-        // dead pool instead of blocking forever.
-        drop(results_tx);
-        ShardedPool {
-            job_txs,
-            results_rx,
-        }
-    }
-
-    /// The number of shards.
-    pub fn shards(&self) -> usize {
-        self.job_txs.len()
-    }
-
-    /// Queue one batch of jobs, shard `index % shards`. Returns the number
-    /// of results to [`collect`](Self::collect).
-    pub fn dispatch(&self, jobs: impl IntoIterator<Item = J>) -> usize {
-        let n = self.job_txs.len();
-        let mut batches: Vec<Vec<(usize, J)>> = (0..n).map(|_| Vec::new()).collect();
-        let mut total = 0;
-        for (index, job) in jobs.into_iter().enumerate() {
-            batches[index % n].push((index, job));
-            total += 1;
-        }
-        for (tx, batch) in self.job_txs.iter().zip(batches) {
-            if !batch.is_empty() {
-                tx.send(batch).expect("worker alive while pool exists");
-            }
-        }
-        total
-    }
-
-    /// Barrier: wait for exactly `expected` results (arrival order).
-    pub fn collect(&self, expected: usize) -> Vec<(usize, R)> {
-        (0..expected)
-            .map(|_| self.results_rx.recv().expect("a pool worker died"))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -340,39 +246,5 @@ mod tests {
         assert!(det.gauges.contains_key("pool.unit.workers"));
         assert!(!det.gauges.keys().any(|k| k.contains("_busy_wall_")));
         assert!(!det.histograms.contains_key("pool.unit.task_wall_us"));
-    }
-
-    #[test]
-    fn sharded_pool_round_trips_batches_in_index_order() {
-        std::thread::scope(|scope| {
-            let pool: ShardedPool<u32, u32> = ShardedPool::start(scope, 3, |_, _, x| x * 2);
-            for round in 0..5u32 {
-                let n = pool.dispatch((0..10).map(|i| round * 100 + i));
-                assert_eq!(n, 10);
-                let mut results = pool.collect(n);
-                results.sort_by_key(|(i, _)| *i);
-                for (i, (idx, out)) in results.into_iter().enumerate() {
-                    assert_eq!(idx, i);
-                    assert_eq!(out, (round * 100 + i as u32) * 2);
-                }
-            }
-            drop(pool); // hang up the job channels so the scope can join
-        });
-    }
-
-    #[test]
-    fn sharded_pool_passes_shard_and_index() {
-        std::thread::scope(|scope| {
-            let pool: ShardedPool<(), (usize, usize)> =
-                ShardedPool::start(scope, 4, |shard, index, ()| (shard, index));
-            let n = pool.dispatch(std::iter::repeat_n((), 9));
-            let mut results = pool.collect(n);
-            results.sort_by_key(|(i, _)| *i);
-            for (index, (shard, seen_index)) in results.into_iter().map(|(_, r)| r).enumerate() {
-                assert_eq!(seen_index, index);
-                assert_eq!(shard, index % 4, "round-robin sharding by index");
-            }
-            drop(pool);
-        });
     }
 }
