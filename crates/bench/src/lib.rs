@@ -17,15 +17,14 @@
 //! | `demographics` | §3.2 — demographic correlations (the null result) |
 //! | `ablations` | DESIGN.md's design-choice ablations |
 //!
-//! Three throughput benchmarks write JSON artifacts instead: the default
-//! binary (`geoserp-bench`) races the crawl backends into
-//! `BENCH_crawl.json`, `analysis_scale` races the analysis pipeline
-//! (1 vs 2/4/8 pooled workers, byte-identity asserted before timing)
-//! into `BENCH_analysis.json`, and `index_scale` races the exact vs
-//! compressed index backends across corpus scales (byte-identity asserted
-//! before timing) into `BENCH_index.json`. `geoserp-bench check
-//! <serve|obs|index> <fresh> <baseline>` is the CI perf gate over those
-//! artifacts (see [`check`]).
+//! Two benchmarks write JSON artifacts instead: `index_scale` races the
+//! exact vs compressed index backends across corpus scales (byte-identity
+//! asserted before timing) into `BENCH_index.json`, and `obs_overhead`
+//! times instrumented vs no-op observability into `BENCH_obs.json`. The
+//! default binary, `geoserp-bench check <serve|obs|index> <fresh>
+//! <baseline>`, is the CI perf gate over those artifacts and the serve
+//! load matrix's `BENCH_serve.json` (see [`check`]). End-to-end crawl and
+//! analysis throughput is measured by the `perfbench` package instead.
 //!
 //! Run any of them with `cargo run --release -p geoserp-bench --bin figN`.
 //! Scale is controlled by `GEOSERP_SCALE`:

@@ -267,7 +267,7 @@ mod tests {
         let err = b.load("echo.example", "/", &[]).unwrap_err();
         assert_eq!(err, BrowserError::Net(NetError::Dropped));
         // Three attempts were made.
-        assert_eq!(net.log().total_recorded(), 3);
+        assert_eq!(net.obs().metrics().counter("net.requests").get(), 3);
     }
 
     #[test]

@@ -548,28 +548,22 @@ pub fn cmd_report(args: &ParsedArgs) -> Result<String, CliError> {
 
 /// Rebuild the crawl-stage counters a live run registers from a saved
 /// dataset's metadata, so `geoserp report` renders the same `[crawler]`
-/// section for datasets as for metrics snapshots.
+/// section for datasets as for metrics snapshots. The meta's counters come
+/// under the registry's own names; the rows the registry keeps no counter
+/// for (it records backoff as a histogram) are added here.
 fn snapshot_from_meta(dataset: &Dataset) -> geoserp_core::obs::MetricsSnapshot {
     let mut snap = geoserp_core::obs::MetricsSnapshot::default();
     let m = &dataset.meta;
     let jobs = dataset.observations().len() as u64 + m.failed_jobs;
-    for (name, value) in [
+    for (name, value) in m.counters().into_iter().chain([
         ("crawler.jobs", jobs),
-        ("crawler.requests_issued", m.requests_issued),
-        ("crawler.attempts", m.attempts),
-        ("crawler.retries", m.retries),
-        ("crawler.parse_failures", m.parse_failures),
-        ("crawler.net_errors", m.net_errors),
-        ("crawler.rate_limited", m.rate_limited),
-        ("crawler.failed_jobs", m.failed_jobs),
-        ("crawler.deadline_giveups", m.deadline_giveups),
         ("crawler.backoff_ms_total", m.backoff_ms),
-    ] {
+    ]) {
         snap.counters.insert(name.to_string(), value);
     }
     snap.gauges.insert(
         "crawler.max_job_backoff_ms".to_string(),
-        m.max_job_backoff_ms as i64,
+        i64::try_from(m.max_job_backoff_ms).unwrap_or(i64::MAX),
     );
     snap
 }
@@ -1214,7 +1208,7 @@ mod tests {
         assert!(trace_json.contains("crawler.attempt"));
 
         // `geoserp report` renders the snapshot, and its crawler totals
-        // reconcile with the dataset's CrawlStats-derived metadata.
+        // reconcile with the dataset metadata they are derived from.
         let p = parse(&argv(&format!("report {metricss}")), &[], &[]).unwrap();
         let report = cmd_report(&p).unwrap();
         assert!(report.contains("[crawler]"), "{report}");
@@ -1406,6 +1400,31 @@ mod tests {
             assert!(matches!(err, CliError::Invalid(_)), "{err}");
             assert!(err.to_string().contains("checkpoint clock"), "{err}");
         }
+        std::fs::remove_file(&ck).ok();
+    }
+
+    #[test]
+    fn resume_refuses_a_checkpoint_whose_counters_do_not_balance() {
+        let dir = std::env::temp_dir();
+        let ck = dir.join(format!("geoserp-ck-{}-unbalanced.json", std::process::id()));
+        let cks = ck.to_string_lossy().to_string();
+        cmd_run(&run_args(&format!(
+            "run --scale quick --seed 9 --quiet \
+             --checkpoint {cks} --checkpoint-every 3 --max-rounds 3"
+        )))
+        .unwrap();
+        let mut edited = CrawlCheckpoint::load(&ck).unwrap();
+        edited.dataset.meta.attempts = u64::MAX - 1;
+        edited.save(&ck).unwrap();
+        let err = cmd_run(&run_args(&format!(
+            "run --scale quick --seed 9 --quiet --resume {cks}"
+        )))
+        .unwrap_err();
+        assert!(matches!(err, CliError::Invalid(_)), "{err}");
+        assert!(
+            err.to_string().contains("accounting does not balance"),
+            "{err}"
+        );
         std::fs::remove_file(&ck).ok();
     }
 

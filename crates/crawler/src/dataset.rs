@@ -88,6 +88,25 @@ pub struct DatasetMeta {
     pub max_job_backoff_ms: u64,
 }
 
+impl DatasetMeta {
+    /// The crawl counters under their metrics-registry names — the one
+    /// table the live registry and `geoserp report <dataset>` share. The
+    /// backoff fields are not in it: the registry records backoff as the
+    /// `crawler.backoff_ms` histogram instead.
+    pub fn counters(&self) -> [(&'static str, u64); 8] {
+        [
+            ("crawler.requests_issued", self.requests_issued),
+            ("crawler.attempts", self.attempts),
+            ("crawler.retries", self.retries),
+            ("crawler.parse_failures", self.parse_failures),
+            ("crawler.net_errors", self.net_errors),
+            ("crawler.rate_limited", self.rate_limited),
+            ("crawler.failed_jobs", self.failed_jobs),
+            ("crawler.deadline_giveups", self.deadline_giveups),
+        ]
+    }
+}
+
 /// FNV-1a, 64-bit — the stable digest used for plan hashes and dataset
 /// golden tests (dependency-free and identical across platforms).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -275,6 +294,63 @@ impl Dataset {
             }
         }
         Ok(())
+    }
+
+    /// Check that the meta balances the way every crawl the crawler writes
+    /// does after `jobs` scheduled jobs of at most `max_attempts` attempts
+    /// each: every job is an observation or a failed job; every attempt is
+    /// a job's first or a retry and issues two requests; every failed
+    /// attempt but a failed job's last provoked a retry; 429s are net
+    /// errors, deadline give-ups are failed jobs, and no job's backoff
+    /// exceeds the total.
+    pub(crate) fn check_accounting(&self, jobs: u64, max_attempts: u64) -> Result<(), String> {
+        let m = &self.meta;
+        let observed = self.observations.len() as u64;
+        let causes = m.parse_failures.checked_add(m.net_errors);
+        let broken = if observed.checked_add(m.failed_jobs) != Some(jobs) {
+            format!(
+                "{observed} observations + {} failed jobs ≠ {jobs} jobs",
+                m.failed_jobs
+            )
+        } else if jobs.checked_add(m.retries) != Some(m.attempts) {
+            format!(
+                "{} attempts ≠ {jobs} jobs + {} retries",
+                m.attempts, m.retries
+            )
+        } else if jobs
+            .checked_mul(max_attempts)
+            .is_none_or(|cap| m.attempts > cap)
+        {
+            format!(
+                "{} attempts exceed {jobs} jobs × {max_attempts} attempts",
+                m.attempts
+            )
+        } else if m.attempts.checked_mul(2) != Some(m.requests_issued) {
+            format!(
+                "{} requests ≠ 2 × {} attempts",
+                m.requests_issued, m.attempts
+            )
+        } else if causes.is_none() || causes != m.retries.checked_add(m.failed_jobs) {
+            format!(
+                "{} parse failures + {} net errors ≠ {} retries + {} failed jobs",
+                m.parse_failures, m.net_errors, m.retries, m.failed_jobs
+            )
+        } else if m.rate_limited > m.net_errors {
+            format!("{} 429s > {} net errors", m.rate_limited, m.net_errors)
+        } else if m.deadline_giveups > m.failed_jobs {
+            format!(
+                "{} deadline give-ups > {} failed jobs",
+                m.deadline_giveups, m.failed_jobs
+            )
+        } else if m.max_job_backoff_ms > m.backoff_ms {
+            format!(
+                "{} ms max job backoff > {} ms total",
+                m.max_job_backoff_ms, m.backoff_ms
+            )
+        } else {
+            return Ok(());
+        };
+        Err(format!("crawl accounting does not balance: {broken}"))
     }
 
     /// Serialize to JSON.

@@ -30,8 +30,8 @@
 //! per-source sequence numbers, and results are committed in plan order.
 //!
 //! Crawls are also crash-safe: [`Crawler::run_with_options`] emits a
-//! [`CrawlCheckpoint`] (the serialized crawl cursor: partial dataset, stats,
-//! virtual clock, network stream position) every N rounds, and
+//! [`CrawlCheckpoint`] (the serialized crawl cursor: partial dataset and its
+//! counters, virtual clock, network stream position) every N rounds, and
 //! [`Crawler::resume`] continues one on a fresh same-seed world so the final
 //! dataset is *byte-identical* to an uninterrupted run, on every backend.
 //! Transient-failure handling is governed by the plan's [`RetryPolicy`].
@@ -52,6 +52,6 @@ pub use export::{observations_csv, results_csv, to_jsonl};
 pub use machines::MachinePool;
 pub use plan::ExperimentPlan;
 pub use retry::RetryPolicy;
-pub use run::{CrawlOptions, CrawlProgress, CrawlStats, Crawler};
+pub use run::{CrawlOptions, CrawlProgress, Crawler};
 pub use validation::{run_validation, ValidationReport};
 pub use workers::CrawlBackend;

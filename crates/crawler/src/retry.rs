@@ -11,7 +11,7 @@
 //! between attempts, but advancing the shared [`VirtualClock`] mid-round
 //! would perturb the other jobs of the lock-step round (every fetch of a
 //! round happens at the same virtual instant). The ghost elapsed time is
-//! accounted in `CrawlStats`/`DatasetMeta` (`backoff_ms`,
+//! accounted, saturating, in `DatasetMeta` (`backoff_ms`,
 //! `max_job_backoff_ms`) and is what [`RetryPolicy::round_deadline_ms`]
 //! bounds: a job that cannot afford its next backoff within the deadline
 //! degrades gracefully to a recorded `failed_job` instead of wedging the

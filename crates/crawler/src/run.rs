@@ -13,7 +13,6 @@ use geoserp_geo::{Coord, Location, Seed, UsGeography, VantagePoints};
 use geoserp_net::{SimNet, Status};
 use geoserp_obs::{Counter, Histogram, ObsHub, SpanRecord};
 use geoserp_serp::SerpPage;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Milliseconds per simulated day.
@@ -25,74 +24,6 @@ pub const CLUSTER_SITE: Coord = Coord {
     lat_deg: 42.34,
     lon_deg: -71.09,
 };
-
-/// Counters accumulated over a crawl. All are monotone and
-/// backend-independent: a pooled crawl reports exactly the same numbers as
-/// a serial one.
-#[derive(Debug, Default)]
-pub struct CrawlStats {
-    /// HTTP requests issued (homepage + query per attempt, retries included).
-    pub requests_issued: AtomicU64,
-    /// Jobs that failed permanently after exhausting their retry budget.
-    pub failed_jobs: AtomicU64,
-    /// Fetch attempts, including retries (at least one per job).
-    pub attempts: AtomicU64,
-    /// Attempts beyond a job's first — the retry pressure under faults.
-    pub retries: AtomicU64,
-    /// Attempts whose response body arrived but failed SERP parsing
-    /// (bit-flip corruption from the fault injector).
-    pub parse_failures: AtomicU64,
-    /// Attempts that failed at the transport layer (drops, resets).
-    pub net_errors: AtomicU64,
-    /// Attempts rejected by the service's per-IP rate limiter (HTTP 429).
-    /// Counted *in addition to* `net_errors` (a 429 is still a failed
-    /// attempt), so the retry accounting identity is unchanged.
-    pub rate_limited: AtomicU64,
-    /// Total ghost-time retry backoff across all jobs, virtual ms.
-    pub backoff_ms: AtomicU64,
-    /// Retries abandoned because their backoff would exceed the deadline.
-    pub deadline_giveups: AtomicU64,
-    /// The largest ghost backoff any single job accumulated, virtual ms.
-    pub max_job_backoff_ms: AtomicU64,
-}
-
-impl CrawlStats {
-    /// Counters pre-loaded from a checkpoint's dataset metadata: the
-    /// resumed run continues the totals instead of restarting them, and
-    /// because the checkpoint was taken at a round boundary they contain no
-    /// attempts from any round the resume will re-execute — nothing is
-    /// double-counted.
-    pub fn from_meta(meta: &DatasetMeta) -> Self {
-        CrawlStats {
-            requests_issued: AtomicU64::new(meta.requests_issued),
-            failed_jobs: AtomicU64::new(meta.failed_jobs),
-            attempts: AtomicU64::new(meta.attempts),
-            retries: AtomicU64::new(meta.retries),
-            parse_failures: AtomicU64::new(meta.parse_failures),
-            net_errors: AtomicU64::new(meta.net_errors),
-            rate_limited: AtomicU64::new(meta.rate_limited),
-            backoff_ms: AtomicU64::new(meta.backoff_ms),
-            deadline_giveups: AtomicU64::new(meta.deadline_giveups),
-            max_job_backoff_ms: AtomicU64::new(meta.max_job_backoff_ms),
-        }
-    }
-
-    /// Copy the counters into a dataset's metadata (leaves `seed` alone).
-    /// Read at round boundaries on the scheduler thread, after the round
-    /// barrier has ordered every worker's relaxed increments before it.
-    pub fn apply_to_meta(&self, meta: &mut DatasetMeta) {
-        meta.failed_jobs = self.failed_jobs.load(Ordering::Relaxed);
-        meta.requests_issued = self.requests_issued.load(Ordering::Relaxed);
-        meta.attempts = self.attempts.load(Ordering::Relaxed);
-        meta.retries = self.retries.load(Ordering::Relaxed);
-        meta.parse_failures = self.parse_failures.load(Ordering::Relaxed);
-        meta.net_errors = self.net_errors.load(Ordering::Relaxed);
-        meta.rate_limited = self.rate_limited.load(Ordering::Relaxed);
-        meta.backoff_ms = self.backoff_ms.load(Ordering::Relaxed);
-        meta.deadline_giveups = self.deadline_giveups.load(Ordering::Relaxed);
-        meta.max_job_backoff_ms = self.max_job_backoff_ms.load(Ordering::Relaxed);
-    }
-}
 
 /// Options for [`Crawler::run_with_options`]: the backend plus the
 /// checkpoint/resume machinery. `CrawlOptions::new(backend)` gives plain
@@ -191,30 +122,58 @@ struct RoundDesc<'a> {
     first_of_day: bool,
 }
 
-/// Everything a job produces.
+/// A job's parsed page and the datacenter that served it.
 struct JobOutput {
     page: SerpPage,
     datacenter: String,
 }
 
-/// `(job index, fetch outcome)` for each job of a round.
-type RoundResults = Vec<(usize, Option<JobOutput>)>;
+/// What one job's attempts cost, counted on the worker that ran it and
+/// folded into the dataset's [`DatasetMeta`] on the scheduler thread.
+#[derive(Default)]
+struct JobTally {
+    /// Fetch attempts, at least one. Every attempt but the first is a
+    /// retry, and each issues two requests (homepage + query).
+    attempts: u64,
+    parse_failures: u64,
+    net_errors: u64,
+    /// 429s, also counted in `net_errors`.
+    rate_limited: u64,
+    /// The job gave up a retry that would have passed the round deadline.
+    deadline_giveup: bool,
+    /// Ghost-time backoff, virtual ms (saturating).
+    backoff_ms: u64,
+}
 
-/// Pre-resolved crawl-stage metric handles. Mirrors of the `CrawlStats`
-/// atomics live here so the registry exports the same totals `DatasetMeta`
-/// records, plus crawl-only extras (per-machine utilization, checkpoint
-/// write latency).
+impl JobTally {
+    /// Add this job to the crawl's counters; `failed` when it collected no
+    /// page.
+    fn fold_into(&self, meta: &mut DatasetMeta, failed: bool) {
+        meta.attempts += self.attempts;
+        meta.retries += self.attempts - 1;
+        meta.requests_issued += 2 * self.attempts;
+        meta.parse_failures += self.parse_failures;
+        meta.net_errors += self.net_errors;
+        meta.rate_limited += self.rate_limited;
+        meta.deadline_giveups += u64::from(self.deadline_giveup);
+        meta.failed_jobs += u64::from(failed);
+        meta.backoff_ms = meta.backoff_ms.saturating_add(self.backoff_ms);
+        meta.max_job_backoff_ms = meta.max_job_backoff_ms.max(self.backoff_ms);
+    }
+}
+
+/// `(job index, (tally, page))` for each job of a round.
+type RoundResults = Vec<(usize, (JobTally, Option<JobOutput>))>;
+
+/// Pre-resolved crawl-stage metric handles. The crawl's counters live in
+/// [`DatasetMeta`]; the registry mirrors them under the names
+/// [`DatasetMeta::counters`] gives, plus crawl-only extras (per-machine
+/// utilization, backoff distribution, checkpoint write latency).
 struct CrawlMetrics {
     rounds: Counter,
     jobs: Counter,
-    attempts: Counter,
-    retries: Counter,
-    parse_failures: Counter,
-    net_errors: Counter,
-    rate_limited: Counter,
-    failed_jobs: Counter,
-    deadline_giveups: Counter,
-    requests_issued: Counter,
+    /// One handle per [`DatasetMeta::counters`] row, in its order.
+    meta: [Counter; 8],
     backoff_ms: Histogram,
     /// Host wall time spent in the checkpoint sink, µs (`_wall_` marker:
     /// excluded from deterministic snapshots).
@@ -229,14 +188,9 @@ impl CrawlMetrics {
         CrawlMetrics {
             rounds: m.counter("crawler.rounds"),
             jobs: m.counter("crawler.jobs"),
-            attempts: m.counter("crawler.attempts"),
-            retries: m.counter("crawler.retries"),
-            parse_failures: m.counter("crawler.parse_failures"),
-            net_errors: m.counter("crawler.net_errors"),
-            rate_limited: m.counter("crawler.rate_limited"),
-            failed_jobs: m.counter("crawler.failed_jobs"),
-            deadline_giveups: m.counter("crawler.deadline_giveups"),
-            requests_issued: m.counter("crawler.requests_issued"),
+            meta: DatasetMeta::default()
+                .counters()
+                .map(|(name, _)| m.counter(name)),
             backoff_ms: m.histogram("crawler.backoff_ms"),
             checkpoint_wall_us: m.histogram("crawler.checkpoint_wall_us"),
             machine_jobs: (0..n_machines)
@@ -437,11 +391,11 @@ impl Crawler {
     /// checkpoints, resume from a cursor, and an early-stop round count.
     ///
     /// Checkpoints are emitted at round boundaries with the world idle (the
-    /// round pipeline drains first), so a checkpoint at round N
-    /// captures exactly the clock, network stream position, stats, and
-    /// partial dataset an uninterrupted run has after N rounds — resuming
-    /// it on a fresh same-seed world replays rounds N+1.. byte-identically,
-    /// on any backend.
+    /// round pipeline drains first), so a checkpoint at round N captures
+    /// exactly the clock, network stream position, and partial dataset
+    /// (counters included) an uninterrupted run has after N rounds —
+    /// resuming it on a fresh same-seed world replays rounds N+1..
+    /// byte-identically, on any backend.
     pub fn run_with_options(
         &self,
         plan: &ExperimentPlan,
@@ -475,7 +429,7 @@ impl Crawler {
         }
         let plan_hash = plan.stable_hash();
 
-        let (base_day, rounds, start_round, mut dataset, stats) = match resume {
+        let (base_day, rounds, start_round, mut dataset) = match resume {
             Some(mut ckpt) => {
                 let rounds = self.resume_schedule(plan, &ckpt)?;
                 // Reposition the world at the cursor: clock and per-source
@@ -485,14 +439,7 @@ impl Crawler {
                     .set(geoserp_net::clock::SimInstant(ckpt.clock_ms));
                 self.net.restore_seq_cursor(&ckpt.net_cursor);
                 ckpt.dataset.rebuild_index();
-                let stats = CrawlStats::from_meta(&ckpt.dataset.meta);
-                (
-                    ckpt.base_day,
-                    rounds,
-                    ckpt.completed_rounds,
-                    ckpt.dataset,
-                    stats,
-                )
+                (ckpt.base_day, rounds, ckpt.completed_rounds, ckpt.dataset)
             }
             None => {
                 // The next strict day boundary: a fresh world (t = 0) starts
@@ -514,7 +461,7 @@ impl Crawler {
                     },
                 );
                 let rounds = self.schedule(plan, base_day);
-                (base_day, rounds, 0, dataset, CrawlStats::default())
+                (base_day, rounds, 0, dataset)
             }
         };
         let total_rounds = rounds.len();
@@ -531,16 +478,14 @@ impl Crawler {
                 && completed.is_multiple_of(checkpoint_every)
                 && completed < total_rounds
         };
-        // The live dataset moves into the checkpoint for the sink call and
-        // back out afterwards, so a checkpoint costs no dataset copy; its
-        // meta carries the boundary stats only while the sink runs.
-        let emit = |completed: usize, dataset: Dataset, stats: &CrawlStats| {
+        // The live dataset, whose meta holds the boundary counters, moves
+        // into the checkpoint for the sink call and back out afterwards, so
+        // a checkpoint costs no dataset copy.
+        let emit = |completed: usize, dataset: Dataset| {
             let Some(sink) = on_checkpoint else {
                 return dataset;
             };
-            let live_meta = dataset.meta.clone();
-            let ckpt =
-                self.make_checkpoint(plan_hash, base_day, completed, total_rounds, dataset, stats);
+            let ckpt = self.make_checkpoint(plan_hash, base_day, completed, total_rounds, dataset);
             // Wall-clock only: the sink writes files, and how long that
             // takes is a host property, not a virtual one.
             let started = std::time::Instant::now();
@@ -548,15 +493,13 @@ impl Crawler {
             self.metrics
                 .checkpoint_wall_us
                 .observe(started.elapsed().as_micros() as u64);
-            let mut dataset = ckpt.dataset;
-            dataset.meta = live_meta;
-            dataset
+            ckpt.dataset
         };
 
         let fetch = |&(round, round_span): &(&RoundDesc, u64), index: usize| {
-            self.fetch_job(round, round_span, index, policy, &stats)
+            self.fetch_job(round, round_span, index, policy)
         };
-        let mut dataset = std::thread::scope(|scope| {
+        let dataset = std::thread::scope(|scope| {
             let executor = Executor::start(scope, workers, self.pool.len(), &fetch);
 
             // Reposition the virtual clock for a round: jump to the day
@@ -578,7 +521,7 @@ impl Crawler {
                                 results: RoundResults,
                                 dataset: &mut Dataset,
                                 completed_rounds: &mut usize| {
-                self.absorb_round(dataset, round, results, &stats);
+                self.absorb_round(dataset, round, results);
                 *completed_rounds += 1;
                 progress(&CrawlProgress {
                     completed_rounds: *completed_rounds,
@@ -607,7 +550,7 @@ impl Crawler {
                         finish_round(prev, results, &mut dataset, &mut completed_rounds);
                     }
                     if at_boundary(completed_rounds) {
-                        dataset = emit(completed_rounds, dataset, &stats);
+                        dataset = emit(completed_rounds, dataset);
                     }
                     if completed_rounds >= stop_at {
                         break;
@@ -630,8 +573,6 @@ impl Crawler {
             }
             dataset
         });
-
-        stats.apply_to_meta(&mut dataset.meta);
         Ok(dataset)
     }
 
@@ -640,8 +581,11 @@ impl Crawler {
     /// (version, plan, seed, fault rates), the cursor must sit on a round
     /// boundary of that schedule: its clock must read the last completed
     /// round's day start plus one inter-query wait per round of that day so
-    /// far. A hand-edited clock or base day is therefore a `Mismatch`, not
-    /// a panic on a rewinding clock or a silently shifted dataset.
+    /// far, and its dataset must balance against that cursor (see
+    /// `Dataset::check_accounting`). A hand-edited clock, base day,
+    /// observation list or counter is therefore a `Mismatch`, not a panic
+    /// on a rewinding clock or an overflowing counter, or a silently
+    /// shifted or incomplete dataset.
     fn resume_schedule(
         &self,
         plan: &ExperimentPlan,
@@ -710,6 +654,14 @@ impl Crawler {
                 ckpt.clock_ms, ckpt.completed_rounds
             ));
         }
+        let jobs = rounds[..ckpt.completed_rounds]
+            .iter()
+            .map(|r| r.locs.len() as u64 * 2)
+            .sum();
+        let max_attempts = u64::from(plan.retry.max_attempts.max(1));
+        ckpt.dataset
+            .check_accounting(jobs, max_attempts)
+            .map_err(CheckpointError::Mismatch)?;
         let now = self.net.clock().now().millis();
         if now > ckpt.clock_ms {
             return mismatch(format!(
@@ -731,10 +683,8 @@ impl Crawler {
         base_day: u32,
         completed_rounds: usize,
         total_rounds: usize,
-        mut dataset: Dataset,
-        stats: &CrawlStats,
+        dataset: Dataset,
     ) -> CrawlCheckpoint {
-        stats.apply_to_meta(&mut dataset.meta);
         let (drop_chance, corrupt_chance) = self.net.fault_rates();
         CrawlCheckpoint {
             version: CHECKPOINT_VERSION,
@@ -841,21 +791,20 @@ impl Crawler {
     }
 
     /// Commit one round's results (sorted back into job order) into the
-    /// dataset. Runs on the scheduler thread — interning is single-writer.
-    fn absorb_round(
-        &self,
-        dataset: &mut Dataset,
-        round: &RoundDesc,
-        mut results: RoundResults,
-        stats: &CrawlStats,
-    ) {
+    /// dataset, folding each job's tally into its meta, then publish the
+    /// round's change to the registry. Runs on the scheduler thread —
+    /// interning and counting are single-writer.
+    fn absorb_round(&self, dataset: &mut Dataset, round: &RoundDesc, mut results: RoundResults) {
         results.sort_by_key(|(index, _)| *index);
-        for (index, output) in results {
+        let before = dataset.meta.counters();
+        self.metrics.jobs.add(results.len() as u64);
+        for (index, (tally, output)) in results {
+            tally.fold_into(&mut dataset.meta, output.is_none());
+            self.metrics.machine_jobs[index % self.pool.len()].inc();
+            self.metrics.backoff_ms.observe(tally.backoff_ms);
             let location = &round.locs[index / 2];
             let role = Role::BOTH[index % 2];
             let Some(output) = output else {
-                stats.failed_jobs.fetch_add(1, Ordering::Relaxed);
-                self.metrics.failed_jobs.inc();
                 continue;
             };
             let results = output
@@ -877,10 +826,16 @@ impl Crawler {
                 reported_location: output.page.reported_location.clone(),
             });
         }
+        let after = dataset.meta.counters();
+        for ((counter, (_, old)), (_, new)) in self.metrics.meta.iter().zip(before).zip(after) {
+            counter.add(new - old);
+        }
     }
 
     /// One job: fresh browser, spoofed GPS, homepage + query, parse, retry
-    /// on damage under the plan's [`RetryPolicy`], clear cookies.
+    /// on damage under the plan's [`RetryPolicy`], clear cookies. Counts
+    /// its attempts in a [`JobTally`] for the scheduler to fold into the
+    /// meta, and writes no metric.
     ///
     /// Observability: emits one `crawler.job` span (parent = the round's
     /// span, tid = machine track) plus one `crawler.attempt` span per fetch
@@ -893,13 +848,10 @@ impl Crawler {
         round_span: u64,
         index: usize,
         policy: &RetryPolicy,
-        stats: &CrawlStats,
-    ) -> Option<JobOutput> {
-        self.metrics.jobs.inc();
+    ) -> (JobTally, Option<JobOutput>) {
         let machine = self.pool.assign(index);
         let coord = round.locs[index / 2].coord;
         let track = index % self.pool.len();
-        self.metrics.machine_jobs[track].inc();
         let spans_on = self.obs.is_enabled();
         let tid = track as u32 + 1;
         let start_ms = self.net.clock().now().millis();
@@ -914,7 +866,7 @@ impl Crawler {
         // virtual clock mid-round would perturb the round's other jobs
         // (every fetch of a lock-step round happens at the same virtual
         // instant), so waits are accounted, not enacted.
-        let mut ghost_backoff_ms = 0u64;
+        let mut tally = JobTally::default();
         // Virtual time the engine spent serving this job's successful
         // search exchanges — the job span's service component.
         let mut serve_ms = 0u64;
@@ -926,23 +878,17 @@ impl Crawler {
             if attempt > 0 {
                 let wait = policy.backoff_before(attempt);
                 if let Some(deadline) = policy.round_deadline_ms {
-                    if ghost_backoff_ms.saturating_add(wait) > deadline {
+                    if tally.backoff_ms.saturating_add(wait) > deadline {
                         // Graceful degradation: record the give-up and let
                         // the job land as a failed_job rather than burning
                         // the rest of the budget past the deadline.
-                        stats.deadline_giveups.fetch_add(1, Ordering::Relaxed);
-                        self.metrics.deadline_giveups.inc();
+                        tally.deadline_giveup = true;
                         break;
                     }
                 }
-                ghost_backoff_ms += wait;
-                stats.retries.fetch_add(1, Ordering::Relaxed);
-                self.metrics.retries.inc();
+                tally.backoff_ms = tally.backoff_ms.saturating_add(wait);
             }
-            stats.attempts.fetch_add(1, Ordering::Relaxed);
-            self.metrics.attempts.inc();
-            stats.requests_issued.fetch_add(2, Ordering::Relaxed);
-            self.metrics.requests_issued.add(2);
+            tally.attempts += 1;
             let mut attempt_ms = 0u64;
             let outcome = match browser.run_search_job(SEARCH_HOST, &round.term.term, coord) {
                 Ok(fetch) => {
@@ -957,21 +903,18 @@ impl Crawler {
                             "ok"
                         }
                         Err(_damaged) => {
-                            stats.parse_failures.fetch_add(1, Ordering::Relaxed);
-                            self.metrics.parse_failures.inc();
+                            tally.parse_failures += 1;
                             "parse_failure" // corrupted body: refetch
                         }
                     }
                 }
                 Err(e) => {
-                    stats.net_errors.fetch_add(1, Ordering::Relaxed);
-                    self.metrics.net_errors.inc();
+                    tally.net_errors += 1;
                     if matches!(e, BrowserError::Http(Status::TooManyRequests)) {
                         // Also a net error (the accounting identity over
                         // retries and failed jobs is unchanged), separately
                         // visible as rate-limiter pressure.
-                        stats.rate_limited.fetch_add(1, Ordering::Relaxed);
-                        self.metrics.rate_limited.inc();
+                        tally.rate_limited += 1;
                         "rate_limited"
                     } else {
                         "net_error"
@@ -1008,13 +951,6 @@ impl Crawler {
                 break;
             }
         }
-        stats
-            .backoff_ms
-            .fetch_add(ghost_backoff_ms, Ordering::Relaxed);
-        stats
-            .max_job_backoff_ms
-            .fetch_max(ghost_backoff_ms, Ordering::Relaxed);
-        self.metrics.backoff_ms.observe(ghost_backoff_ms);
         if spans_on {
             pending_spans.push(SpanRecord {
                 id: job_span,
@@ -1023,7 +959,7 @@ impl Crawler {
                 cat: "crawler.job",
                 tid,
                 start_ms,
-                dur_ms: serve_ms + ghost_backoff_ms,
+                dur_ms: serve_ms.saturating_add(tally.backoff_ms),
                 args: vec![
                     ("job", index.to_string()),
                     ("machine", machine.to_string()),
@@ -1038,7 +974,7 @@ impl Crawler {
         if !pending_spans.is_empty() {
             self.obs.spans().record_batch(pending_spans);
         }
-        output
+        (tally, output)
     }
 }
 
@@ -1191,12 +1127,14 @@ mod tests {
     #[test]
     fn no_rate_limiting_fired() {
         let crawler = Crawler::new(Seed::new(2015));
-        let _ds = crawler.run(&quick_plan());
-        let throttled = crawler
-            .net()
-            .log()
-            .count_where(|e| matches!(e.kind, geoserp_net::NetEventKind::Response { status: 429 }));
-        assert_eq!(throttled, 0, "machine pool must stay under the rate limit");
+        let ds = crawler.run(&quick_plan());
+        let throttled = crawler.obs().metrics().counter("engine.rate_limited");
+        assert_eq!(
+            throttled.get(),
+            0,
+            "machine pool must stay under the rate limit"
+        );
+        assert_eq!(ds.meta.rate_limited, 0);
     }
 
     #[test]
@@ -1524,6 +1462,54 @@ mod tests {
         );
         // Completeness: every cell is an observation or a failed job.
         assert_eq!(ds.observations().len() + ds.meta.failed_jobs as usize, 108);
+    }
+
+    #[test]
+    fn a_saturating_backoff_saturates_the_totals_instead_of_overflowing() {
+        // `RetryPolicy::backoff_before` saturates at u64::MAX, so a job's
+        // second retry used to overflow its backoff sum: a worker panic
+        // that failed the round in debug builds, a silent wrap in release.
+        let mut plan = quick_plan();
+        plan.retry.backoff_base_ms = u64::MAX / 2 + 1;
+        let crawler =
+            Crawler::with_config_and_faults(Seed::new(5), EngineConfig::paper_defaults(), 0.5, 0.0);
+        let ds = crawler.run(&plan);
+        ds.check_accounting(108, 3).unwrap();
+        assert!(ds.meta.retries > 0);
+        assert_eq!(ds.meta.backoff_ms, u64::MAX);
+        assert_eq!(ds.meta.max_job_backoff_ms, u64::MAX);
+    }
+
+    #[test]
+    fn resume_refuses_a_checkpoint_that_does_not_balance() {
+        let plan = quick_plan();
+        let ckpt = checkpoint_at(&plan, 4, 10);
+        assert_eq!(ckpt.completed_rounds, 8);
+        assert_eq!(ckpt.dataset.observations().len(), 48);
+
+        // One observation deleted by hand: 47 observations and no failed
+        // job used to resume into a 107-observation dataset.
+        let json = ckpt.to_json();
+        let first = json.find("{\"day\":").expect("an observation");
+        let end = first + json[first..].find("},").expect("a second one") + 2;
+        let short =
+            CrawlCheckpoint::from_json(&format!("{}{}", &json[..first], &json[end..])).unwrap();
+        assert_eq!(short.dataset.observations().len(), 47);
+        // A counter edited near u64::MAX used to wrap as the resumed crawl
+        // added to it.
+        let mut overflowing = ckpt.clone();
+        overflowing.dataset.meta.attempts = u64::MAX - 1;
+        for (edit, needle) in [
+            (short, "47 observations + 0 failed jobs ≠ 48 jobs"),
+            (overflowing, "attempts ≠ 48 jobs + 0 retries"),
+        ] {
+            let err = Crawler::new(Seed::new(42)).resume(edit, &plan).unwrap_err();
+            assert!(matches!(err, CheckpointError::Mismatch(_)), "{err}");
+            assert!(err.to_string().contains(needle), "{err}");
+        }
+        // The genuine checkpoint balances and resumes.
+        let resumed = Crawler::new(Seed::new(42)).resume(ckpt, &plan).unwrap();
+        resumed.check_accounting(108, 3).unwrap();
     }
 
     #[test]

@@ -442,11 +442,7 @@ mod tests {
             .request(ip("10.0.0.9"), &Request::get("ghost.example", "/"))
             .unwrap_err();
         assert_eq!(err, NetError::NoRoute("ghost.example".into()));
-        assert_eq!(
-            net.log()
-                .count_where(|e| matches!(e.kind, NetEventKind::NoRoute { .. })),
-            1
-        );
+        assert_eq!(net.obs().metrics().counter("net.no_route").get(), 1);
     }
 
     #[test]
@@ -573,11 +569,7 @@ mod tests {
                 .unwrap_err(),
             NetError::TimedOut
         );
-        assert_eq!(
-            net.log()
-                .count_where(|e| matches!(e.kind, NetEventKind::TimedOut)),
-            1
-        );
+        assert_eq!(net.obs().metrics().counter("net.timeouts").get(), 1);
         // …and a generous one passes.
         net.set_timeout_ms(Some(10_000));
         assert!(net

@@ -1,24 +1,20 @@
-//! Network event log — a pcap-like trace of everything the simulator did.
+//! Network event log — a pcap-like debug trace of what the simulator did
+//! most recently.
 //!
-//! Bounded ring buffer so long studies don't grow without limit; the crawler
-//! and tests read it to assert operational properties (e.g. "all queries hit
-//! the pinned datacenter", "no request was rate-limited").
+//! A bounded ring buffer, so long studies don't grow without limit:
+//! `geoserp probe --trace` prints it, and tests inspect what a short run
+//! left in it (e.g. "all queries hit the pinned datacenter").
 //!
-//! **Windowed, not total.** Because the buffer is bounded, every query over
-//! retained events — [`EventLog::snapshot`], [`EventLog::count_where`], the
-//! exports — sees only the most recent `capacity` events. In particular a
-//! drop/corruption count taken with `count_where` after a long crawl is a
-//! *windowed* count, not a lifetime total; once more than `capacity` events
-//! have been recorded, older faults have been evicted. The only lifetime
-//! counter is [`EventLog::total_recorded`]. Code that needs exact lifetime
-//! fault totals must keep its own counters (the crawler's `CrawlStats` does
-//! exactly this for retries, net errors, and parse failures).
+//! **A window, not a count.** [`EventLog::snapshot`] and
+//! [`EventLog::to_text`] see only the most recent `capacity` events; older
+//! ones are evicted, and the log keeps no totals. Lifetime totals live in
+//! the metrics registry (`net.requests`, `net.dropped`, `net.timeouts`,
+//! ...) and, for the crawl, in the dataset's metadata.
 
 use crate::clock::SimInstant;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-use std::io;
 use std::net::Ipv4Addr;
 
 /// What happened to one message.
@@ -62,21 +58,11 @@ pub struct NetEvent {
     pub kind: NetEventKind,
 }
 
-/// Retained events and the lifetime total, kept under ONE mutex so any
-/// reader observes a consistent pair. (Splitting them across two locks let a
-/// concurrent `snapshot()` + `total_recorded()` see a recorded event with a
-/// stale total, or vice versa.)
-#[derive(Debug)]
-struct LogState {
-    events: VecDeque<NetEvent>,
-    total: u64,
-}
-
 /// Bounded, thread-safe event log.
 #[derive(Debug)]
 pub struct EventLog {
     capacity: usize,
-    state: Mutex<LogState>,
+    events: Mutex<VecDeque<NetEvent>>,
 }
 
 impl EventLog {
@@ -85,76 +71,28 @@ impl EventLog {
         assert!(capacity > 0, "capacity must be positive");
         EventLog {
             capacity,
-            state: Mutex::new(LogState {
-                events: VecDeque::with_capacity(capacity.min(4096)),
-                total: 0,
-            }),
+            events: Mutex::new(VecDeque::with_capacity(capacity.min(4096))),
         }
     }
 
     /// Append an event, evicting the oldest if full.
     pub fn record(&self, event: NetEvent) {
-        let mut s = self.state.lock();
-        if s.events.len() == self.capacity {
-            s.events.pop_front();
+        let mut events = self.events.lock();
+        if events.len() == self.capacity {
+            events.pop_front();
         }
-        s.events.push_back(event);
-        s.total += 1;
+        events.push_back(event);
     }
 
     /// Snapshot of retained events, oldest first.
     pub fn snapshot(&self) -> Vec<NetEvent> {
-        self.state.lock().events.iter().cloned().collect()
-    }
-
-    /// Atomic snapshot of (retained events, lifetime total): both values are
-    /// read under the same lock acquisition, so `total >= events.len()` and,
-    /// while fewer than `capacity` events have been recorded, the two agree
-    /// exactly.
-    pub fn snapshot_with_total(&self) -> (Vec<NetEvent>, u64) {
-        let s = self.state.lock();
-        (s.events.iter().cloned().collect(), s.total)
-    }
-
-    /// Total events ever recorded (including evicted ones).
-    pub fn total_recorded(&self) -> u64 {
-        self.state.lock().total
-    }
-
-    /// Count retained events matching a predicate.
-    pub fn count_where(&self, pred: impl Fn(&NetEvent) -> bool) -> usize {
-        self.state.lock().events.iter().filter(|e| pred(e)).count()
-    }
-
-    /// Drop all retained events (the running total is preserved).
-    pub fn clear(&self) {
-        self.state.lock().events.clear();
-    }
-
-    /// Stream retained events as JSON Lines (one event per line, each
-    /// newline-terminated) into `w` without building one giant `String`.
-    pub fn write_jsonl(&self, w: &mut impl io::Write) -> io::Result<()> {
-        let s = self.state.lock();
-        for e in s.events.iter() {
-            let line = serde_json::to_string(e).expect("events serialize");
-            w.write_all(line.as_bytes())?;
-            w.write_all(b"\n")?;
-        }
-        Ok(())
-    }
-
-    /// Export retained events as JSON Lines — a thin wrapper over
-    /// [`Self::write_jsonl`] for callers that want a `String`.
-    pub fn to_jsonl(&self) -> String {
-        let mut buf = Vec::new();
-        self.write_jsonl(&mut buf).expect("Vec<u8> writes succeed");
-        String::from_utf8(buf).expect("JSON is UTF-8")
+        self.events.lock().iter().cloned().collect()
     }
 
     /// Export retained events as a tcpdump-style text trace.
     pub fn to_text(&self) -> String {
         let mut out = String::new();
-        for e in self.state.lock().events.iter() {
+        for e in self.events.lock().iter() {
             let t = e.at.millis();
             let dst = e
                 .dst
@@ -256,47 +194,6 @@ mod tests {
         let snap = log.snapshot();
         assert_eq!(snap.len(), 3);
         assert_eq!(snap[0].at, SimInstant(2));
-        assert_eq!(log.total_recorded(), 5);
-    }
-
-    #[test]
-    fn count_where_filters() {
-        let log = EventLog::new(10);
-        log.record(ev(0, NetEventKind::Dropped));
-        log.record(ev(1, NetEventKind::Response { status: 200 }));
-        log.record(ev(2, NetEventKind::Response { status: 429 }));
-        let throttled =
-            log.count_where(|e| matches!(e.kind, NetEventKind::Response { status: 429 }));
-        assert_eq!(throttled, 1);
-    }
-
-    #[test]
-    fn clear_keeps_total() {
-        let log = EventLog::new(4);
-        log.record(ev(0, NetEventKind::Dropped));
-        log.clear();
-        assert!(log.snapshot().is_empty());
-        assert_eq!(log.total_recorded(), 1);
-    }
-
-    #[test]
-    fn jsonl_export_is_one_valid_object_per_line() {
-        let log = EventLog::new(8);
-        log.record(ev(
-            1,
-            NetEventKind::Request {
-                host: "h".into(),
-                target: "/t".into(),
-            },
-        ));
-        log.record(ev(2, NetEventKind::Response { status: 200 }));
-        let jsonl = log.to_jsonl();
-        let lines: Vec<&str> = jsonl.lines().collect();
-        assert_eq!(lines.len(), 2);
-        for line in lines {
-            let v: serde_json::Value = serde_json::from_str(line).expect("valid JSON");
-            assert!(v.get("at").is_some());
-        }
     }
 
     #[test]
@@ -322,46 +219,5 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_capacity_rejected() {
         EventLog::new(0);
-    }
-
-    #[test]
-    fn write_jsonl_matches_to_jsonl_exactly() {
-        let log = EventLog::new(8);
-        log.record(ev(
-            1,
-            NetEventKind::Request {
-                host: "search.example.com".into(),
-                target: "/search?q=x".into(),
-            },
-        ));
-        log.record(ev(2, NetEventKind::Response { status: 429 }));
-        log.record(ev(3, NetEventKind::NoRoute { host: "h".into() }));
-        let mut streamed = Vec::new();
-        log.write_jsonl(&mut streamed).unwrap();
-        assert_eq!(String::from_utf8(streamed).unwrap(), log.to_jsonl());
-    }
-
-    #[test]
-    fn snapshot_and_total_stay_consistent_under_concurrent_records() {
-        // With events and total behind separate mutexes, a reader could see
-        // a recorded event whose total had not yet been incremented. With a
-        // single lock and no eviction, len == total always holds.
-        let log = EventLog::new(100_000);
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    for t in 0..2_000 {
-                        log.record(ev(t, NetEventKind::Dropped));
-                    }
-                });
-            }
-            s.spawn(|| {
-                for _ in 0..2_000 {
-                    let (events, total) = log.snapshot_with_total();
-                    assert_eq!(events.len() as u64, total);
-                }
-            });
-        });
-        assert_eq!(log.total_recorded(), 8_000);
     }
 }

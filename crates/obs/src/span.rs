@@ -53,8 +53,7 @@ struct SpanBuf {
 /// Bounded ring buffer of completed spans plus an ID allocator.
 ///
 /// The buffer and its total-recorded count live under a single mutex so a
-/// snapshot always observes a consistent pair (the same discipline
-/// `EventLog` follows).
+/// snapshot always observes a consistent pair.
 #[derive(Debug)]
 pub struct SpanLog {
     enabled: bool,

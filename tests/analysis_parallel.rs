@@ -56,7 +56,7 @@ fn report(ds: &Dataset, workers: Workers) -> String {
 /// for byte.
 fn assert_identical_across_worker_counts(ds: &Dataset, label: &str) {
     let inline = report(ds, Workers::Fixed(1));
-    for n in [0usize, 2, 3, 8] {
+    for n in [0usize, 2, 3, 4, 8] {
         let pooled = report(ds, Workers::Fixed(n));
         assert_eq!(
             inline, pooled,

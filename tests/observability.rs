@@ -9,17 +9,21 @@
 //!    are stamped from the shared virtual clock, so the exported Chrome
 //!    trace is byte-identical across scheduling backends.
 //! 3. Metric counters and histograms (after stripping `_wall_`-marked
-//!    host-timing entries) agree across backends and reconcile exactly
-//!    with the `CrawlStats` totals persisted in the dataset meta.
-//! 4. Rate-limit pressure shows the *same* 429 count through all three
-//!    lenses: the engine's `engine.rate_limited` counter, the crawler's
-//!    `CrawlStats`/`DatasetMeta`, and the network `EventLog`.
+//!    host-timing entries) agree across backends, and the registry's
+//!    crawler counters are exactly the dataset meta's, from which they are
+//!    derived; committed digests pin the crawler metrics of a faulty
+//!    crawl, uninterrupted and resumed.
+//! 4. Rate-limit pressure shows the *same* 429 count on both sides of the
+//!    wire: the engine's `engine.rate_limited` counter where the limiter
+//!    rejects, and the crawler's `DatasetMeta` where the client sees them.
 
-use geoserp::crawler::{CrawlBackend, Crawler, Dataset, ExperimentPlan};
+use geoserp::crawler::{
+    fnv1a64, CrawlBackend, CrawlCheckpoint, CrawlOptions, Crawler, Dataset, ExperimentPlan,
+};
 use geoserp::engine::EngineConfig;
-use geoserp::net::NetEventKind;
 use geoserp::obs::{render_run_report, to_chrome_trace, ObsHub, SpanRecord};
 use geoserp::prelude::*;
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -172,7 +176,7 @@ fn prometheus_export_covers_every_subsystem() {
 }
 
 #[test]
-fn run_report_totals_reconcile_with_crawl_stats() {
+fn run_report_totals_reconcile_with_dataset_meta() {
     let (dataset, obs) = instrumented_run(2015, &quick_plan(), CrawlBackend::WorkerPool);
     let meta = &dataset.meta;
     let snap = obs.snapshot().deterministic();
@@ -183,14 +187,9 @@ fn run_report_totals_reconcile_with_crawl_stats() {
             .get(name)
             .unwrap_or_else(|| panic!("missing counter {name}"))
     };
-    assert_eq!(counter("crawler.attempts"), meta.attempts);
-    assert_eq!(counter("crawler.requests_issued"), meta.requests_issued);
-    assert_eq!(counter("crawler.retries"), meta.retries);
-    assert_eq!(counter("crawler.parse_failures"), meta.parse_failures);
-    assert_eq!(counter("crawler.net_errors"), meta.net_errors);
-    assert_eq!(counter("crawler.rate_limited"), meta.rate_limited);
-    assert_eq!(counter("crawler.failed_jobs"), meta.failed_jobs);
-    assert_eq!(counter("crawler.deadline_giveups"), meta.deadline_giveups);
+    for (name, value) in meta.counters() {
+        assert_eq!(counter(name), value, "{name}");
+    }
     assert_eq!(
         counter("crawler.jobs"),
         dataset.observations().len() as u64 + meta.failed_jobs
@@ -211,8 +210,8 @@ fn run_report_totals_reconcile_with_crawl_stats() {
     );
 }
 
-/// Satellite: drive a crawl past `rate_limit_max` and check the 429s line
-/// up through every lens. With `rate_limit_max = 1` and a window longer
+/// Drive a crawl past `rate_limit_max` and check the 429s line up on both
+/// sides of the wire. With `rate_limit_max = 1` and a window longer
 /// than the whole virtual timeline, each machine's first `/search` is
 /// admitted and every later one is rejected — homepage loads bypass the
 /// limiter, so they never consume budget.
@@ -240,24 +239,15 @@ fn rate_limit_pressure_is_consistent_across_all_lenses() {
     // 9 rounds × 4 jobs on machines 0–3: round 1 is admitted, every later
     // round's search from the same four machines is rejected on all three
     // attempts. 8 starved rounds × 4 jobs × 3 attempts = 96 rejections.
-    assert_eq!(meta.rate_limited, 96, "CrawlStats sees the 429s");
+    assert_eq!(meta.rate_limited, 96, "the crawler counts the 429s");
     assert_eq!(meta.failed_jobs, 8 * 4, "each starved job fails");
     assert_eq!(meta.retries, 8 * 4 * 2, "two retries per starved job");
 
-    // Lens 1 == lens 2: the engine-side counter (incremented where the
-    // limiter rejects) matches the crawler-side totals exactly.
+    // Two observers of one event: the engine-side counter (incremented
+    // where the limiter rejects) matches the client-side meta exactly.
     assert_eq!(snap.counters["engine.rate_limited"], meta.rate_limited);
+    // The registry's crawler counter is derived from the meta.
     assert_eq!(snap.counters["crawler.rate_limited"], meta.rate_limited);
-
-    // Lens 3: every rejection surfaced as an HTTP 429 response event in
-    // the network trace (capacity 65 536 ≫ this run's event count, so the
-    // windowed count is the lifetime total).
-    let log_429s = crawler
-        .net()
-        .log()
-        .count_where(|e| matches!(e.kind, NetEventKind::Response { status: 429 }))
-        as u64;
-    assert_eq!(log_429s, meta.rate_limited);
 
     // 429s are a subset of net errors, and the accounting identity the
     // rest of the suite relies on still balances.
@@ -276,4 +266,66 @@ fn rate_limit_pressure_is_consistent_across_all_lenses() {
         .map(|(_, v)| *v)
         .sum();
     assert_eq!(per_dc, meta.rate_limited);
+}
+
+/// The checkpoint battery's harshest fault cell: (seed, drop, corrupt).
+const GOLDEN_CELL: (u64, f64, f64) = (7, 0.30, 0.15);
+
+/// FNV-1a digests of the `crawler.*` metrics the quick plan's crawl in
+/// [`GOLDEN_CELL`] leaves in its hub's deterministic snapshot: run
+/// uninterrupted; killed after round 10 with a checkpoint every 4 rounds;
+/// and resumed from that round-8 checkpoint on a fresh world (whose
+/// registry counts only the resumed rounds).
+const GOLDEN_CRAWLER_METRICS: [u64; 3] = [
+    0x830c_5ab7_bd43_317c,
+    0xeb0e_73a1_1c9f_0929,
+    0x5a8a_986e_e94e_183e,
+];
+
+/// FNV-1a over the `crawler.*` entries of `obs`'s deterministic snapshot.
+fn crawler_metrics_digest(obs: &ObsHub) -> u64 {
+    let mut snap = obs.snapshot().deterministic();
+    let crawler = |name: &String| name.starts_with("crawler.");
+    snap.counters.retain(|name, _| crawler(name));
+    snap.gauges.retain(|name, _| crawler(name));
+    snap.histograms.retain(|name, _| crawler(name));
+    assert!(!snap.counters.is_empty() && !snap.histograms.is_empty());
+    fnv1a64(snap.to_json().as_bytes())
+}
+
+#[test]
+fn crawler_metrics_are_golden_uninterrupted_and_resumed() {
+    let (seed, drop, corrupt) = GOLDEN_CELL;
+    let plan = quick_plan();
+    let faulty = || {
+        Crawler::with_config_and_faults(
+            Seed::new(seed),
+            EngineConfig::paper_defaults(),
+            drop,
+            corrupt,
+        )
+    };
+    for backend in BACKENDS {
+        let full = faulty();
+        full.run_with_backend(&plan, backend, |_| {});
+
+        let last = RefCell::new(None);
+        let sink = |c: &CrawlCheckpoint| *last.borrow_mut() = Some(c.clone());
+        let killed = faulty();
+        let opts = CrawlOptions::new(backend)
+            .checkpoint_every(4)
+            .on_checkpoint(&sink)
+            .stop_after_rounds(10);
+        killed.run_with_options(&plan, opts, |_| {}).unwrap();
+
+        let resumed = faulty();
+        let opts = CrawlOptions::new(backend).resume(last.into_inner().unwrap());
+        resumed.run_with_options(&plan, opts, |_| {}).unwrap();
+
+        let digests = [&full, &killed, &resumed].map(|c| crawler_metrics_digest(c.obs()));
+        assert_eq!(
+            digests, GOLDEN_CRAWLER_METRICS,
+            "{backend:?}: crawler metrics drifted: {digests:#x?}"
+        );
+    }
 }
