@@ -86,11 +86,6 @@ impl Browser {
         self.geolocation = GeolocationOverride::denied();
     }
 
-    /// Mutable cookie access.
-    pub fn cookies_mut(&mut self) -> &mut CookieJar {
-        &mut self.cookies
-    }
-
     /// Cookie access.
     pub fn cookies(&self) -> &CookieJar {
         &self.cookies
@@ -128,7 +123,6 @@ impl Browser {
         }
         let req = self.decorate(req);
 
-        let mut last_err = BrowserError::Net(NetError::Dropped);
         for _ in 0..self.max_attempts.max(1) {
             match self.net.request(self.ip, &req) {
                 Ok((resp, rtt)) => {
@@ -141,14 +135,11 @@ impl Browser {
                         datacenter: resp.header("X-Datacenter").map(str::to_owned),
                     });
                 }
-                Err(e @ (NetError::Dropped | NetError::TimedOut)) => {
-                    last_err = BrowserError::Net(e);
-                    continue; // transient: retry
-                }
+                Err(NetError::Dropped) => continue, // transient: retry
                 Err(e) => return Err(BrowserError::Net(e)),
             }
         }
-        Err(last_err)
+        Err(BrowserError::Net(NetError::Dropped))
     }
 
     /// The PhantomJS-script equivalent (§2.2): "takes a search term and a
@@ -207,7 +198,7 @@ mod tests {
         let net = net_with_echo();
         let mut b = Browser::new(net, ip("10.8.0.1"));
         b.set_geolocation(Coord::new(41.5, -81.7));
-        b.cookies_mut().set("sid", "t1");
+        b.cookies.set("sid", "t1");
         let fetch = b
             .load("echo.example", "/search", &[("q", "coffee")])
             .unwrap();
@@ -222,7 +213,7 @@ mod tests {
     fn cleared_cookies_and_denied_geolocation_are_absent() {
         let net = net_with_echo();
         let mut b = Browser::new(net, ip("10.8.0.1"));
-        b.cookies_mut().set("sid", "x");
+        b.cookies.set("sid", "x");
         b.clear_cookies();
         b.deny_geolocation();
         let fetch = b.load("echo.example", "/", &[]).unwrap();

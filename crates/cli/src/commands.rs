@@ -599,13 +599,39 @@ pub fn cmd_probe(args: &ParsedArgs) -> Result<String, CliError> {
 
     let study = Study::builder().seed(seed).build()?;
     let crawler = study.crawler();
-    let mut browser = geoserp_core::browser::Browser::new(
-        std::sync::Arc::clone(crawler.net()),
-        geoserp_core::net::ip("198.51.100.99"),
-    );
-    let fetch = browser
-        .run_search_job(geoserp_core::engine::SEARCH_HOST, term, coord)
-        .map_err(|e| CliError::Invalid(format!("search failed: {e}")))?;
+    let net = crawler.net();
+    let host = geoserp_core::engine::SEARCH_HOST;
+    let src = geoserp_core::net::ip("198.51.100.99");
+    let mut browser = geoserp_core::browser::Browser::new(std::sync::Arc::clone(net), src);
+    // `Browser::run_search_job` one step at a time, so that each exchange
+    // can be traced: the homepage load, then the query.
+    browser.set_geolocation(coord);
+    let at = net.clock().now().millis();
+    let dst = net
+        .dns()
+        .resolve(host)
+        .map_or("?".into(), |d| d.to_string());
+    let stamp = |ms: u64| format!("{:>10}.{:03} {src}", ms / 1000, ms % 1000);
+    let mut trace = String::new();
+    let mut exchange = |path: &str, query: &[(&str, &str)]| {
+        let fetch = browser
+            .load(host, path, query)
+            .map_err(|e| CliError::Invalid(format!("search failed: {e}")))?;
+        let mut req = geoserp_core::net::Request::get(host, path);
+        for (k, v) in query {
+            req = req.with_query(*k, *v);
+        }
+        // `load` returns only 2xx pages, and the search service's are 200s.
+        trace.push_str(&format!(
+            "{} > {dst} GET {host}{}\n{} < {dst} HTTP 200\n",
+            stamp(at),
+            req.target(),
+            stamp(at + fetch.rtt_ms),
+        ));
+        Ok::<_, CliError>(fetch)
+    };
+    exchange("/", &[])?;
+    let fetch = exchange("/search", &[("q", term.as_str())])?;
     let page = geoserp_core::serp::parse(&fetch.body)
         .map_err(|e| CliError::Invalid(format!("SERP did not parse: {e}")))?;
 
@@ -626,7 +652,7 @@ pub fn cmd_probe(args: &ParsedArgs) -> Result<String, CliError> {
     }
     if args.has("trace") {
         out.push_str("\nnetwork trace:\n");
-        out.push_str(&crawler.net().log().to_text());
+        out.push_str(&trace);
     }
     Ok(out)
 }
@@ -1094,9 +1120,15 @@ mod tests {
         .unwrap();
         let out = cmd_probe(&p).unwrap();
         assert!(out.contains("Arizona, USA"), "{out}");
-        assert!(
-            out.contains("GET search.example.com"),
-            "trace missing: {out}"
+        let (_, trace) = out
+            .split_once("\nnetwork trace:\n")
+            .unwrap_or_else(|| panic!("trace missing: {out}"));
+        assert_eq!(
+            trace,
+            "         0.000 198.51.100.99 > 10.50.0.1 GET search.example.com/\n\
+             \x20        0.065 198.51.100.99 < 10.50.0.1 HTTP 200\n\
+             \x20        0.000 198.51.100.99 > 10.50.0.1 GET search.example.com/search?q=Bank\n\
+             \x20        0.067 198.51.100.99 < 10.50.0.1 HTTP 200\n"
         );
     }
 

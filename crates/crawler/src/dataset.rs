@@ -63,7 +63,11 @@ pub struct DatasetMeta {
     pub seed: u64,
     /// Jobs that failed permanently (after retries) and were skipped.
     pub failed_jobs: u64,
-    /// Total requests issued (including homepage loads and retries).
+    /// Two requests per fetch attempt (homepage plus search): always
+    /// `2 × attempts`. This is not every exchange: `Browser::load` re-sends
+    /// dropped requests within an attempt, and an attempt whose homepage
+    /// load fails never sends its search. The network's `net.requests`
+    /// counts every exchange.
     pub requests_issued: u64,
     /// Fetch attempts, including retries (at least one per job).
     pub attempts: u64,
@@ -95,6 +99,7 @@ impl DatasetMeta {
     /// `crawler.backoff_ms` histogram instead.
     pub fn counters(&self) -> [(&'static str, u64); 8] {
         [
+            // Two per fetch attempt, not every exchange (`net.requests`).
             ("crawler.requests_issued", self.requests_issued),
             ("crawler.attempts", self.attempts),
             ("crawler.retries", self.retries),

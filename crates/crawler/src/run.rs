@@ -133,7 +133,8 @@ struct JobOutput {
 #[derive(Default)]
 struct JobTally {
     /// Fetch attempts, at least one. Every attempt but the first is a
-    /// retry, and each issues two requests (homepage + query).
+    /// retry, and each counts two requests (homepage + query) in
+    /// `requests_issued`.
     attempts: u64,
     parse_failures: u64,
     net_errors: u64,
@@ -1214,6 +1215,34 @@ mod tests {
     }
 
     #[test]
+    fn requests_issued_lies_between_the_networks_responses_and_requests() {
+        // `requests_issued` is two per fetch attempt. `Browser::load`
+        // re-sends dropped requests within an attempt, and an attempt whose
+        // homepage load fails never sends its search, so the network's own
+        // counters bracket it: every attempt sends at least two requests and
+        // gets at most two responses.
+        for (drop, corrupt) in [(0.0, 0.0), (0.10, 0.05)] {
+            let crawler = Crawler::with_config_and_faults(
+                Seed::new(7),
+                EngineConfig::paper_defaults(),
+                drop,
+                corrupt,
+            );
+            let ds = crawler.run_with_backend(&quick_plan(), CrawlBackend::Serial, |_| {});
+            let snap = crawler.obs().snapshot();
+            let requests = snap.counters["net.requests"];
+            let responses = snap.counters["net.responses"];
+            let issued = ds.meta.requests_issued;
+            assert!(responses <= issued, "{responses} responses > {issued}");
+            if drop == 0.0 {
+                assert_eq!((responses, requests), (issued, issued));
+            } else {
+                assert!(issued < requests, "re-sent drops are not in it");
+            }
+        }
+    }
+
+    #[test]
     fn stop_after_rounds_yields_exactly_that_many_rounds() {
         for backend in [CrawlBackend::Serial, CrawlBackend::WorkerPool] {
             let crawler = Crawler::new(Seed::new(2015));
@@ -1478,6 +1507,12 @@ mod tests {
         assert!(ds.meta.retries > 0);
         assert_eq!(ds.meta.backoff_ms, u64::MAX);
         assert_eq!(ds.meta.max_job_backoff_ms, u64::MAX);
+        // The registry's backoff histogram saturates the same way, so its
+        // sum never falls below its max.
+        let snap = crawler.obs().snapshot();
+        let backoff = &snap.histograms["crawler.backoff_ms"];
+        assert_eq!(backoff.sum, ds.meta.backoff_ms);
+        assert_eq!(backoff.max, u64::MAX);
     }
 
     #[test]

@@ -156,7 +156,6 @@ mod tests {
     use crate::config::EngineConfig;
     use geoserp_corpus::WebCorpus;
     use geoserp_geo::{Seed, UsGeography};
-    use geoserp_net::NetEventKind;
 
     fn install() -> (UsGeography, Arc<SimNet>, Vec<Ipv4Addr>) {
         let geo = UsGeography::generate(Seed::new(2015));
@@ -330,18 +329,5 @@ mod tests {
             )
             .unwrap();
         assert_eq!(bad.status, Status::BadRequest);
-    }
-
-    #[test]
-    fn requests_are_traced() {
-        let (geo, net, _) = install();
-        let gps = geo.cuyahoga_districts[0].coord.to_gps_string();
-        net.request(ip("10.9.1.1"), &search_req("Coffee", &gps))
-            .unwrap();
-        assert!(net
-            .log()
-            .snapshot()
-            .iter()
-            .any(|e| matches!(&e.kind, NetEventKind::Request { host, .. } if host == SEARCH_HOST)));
     }
 }

@@ -18,11 +18,6 @@ impl SimInstant {
     pub fn millis(self) -> u64 {
         self.0
     }
-
-    /// Duration in milliseconds from `earlier` to `self` (saturating).
-    pub fn since(self, earlier: SimInstant) -> u64 {
-        self.0.saturating_sub(earlier.0)
-    }
 }
 
 /// Shared, thread-safe virtual clock.
@@ -91,14 +86,6 @@ mod tests {
         let c2 = c.clone();
         c.advance_ms(10);
         assert_eq!(c2.now().millis(), 10);
-    }
-
-    #[test]
-    fn since_is_saturating() {
-        let a = SimInstant(100);
-        let b = SimInstant(40);
-        assert_eq!(a.since(b), 60);
-        assert_eq!(b.since(a), 0);
     }
 
     #[test]

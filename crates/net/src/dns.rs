@@ -6,25 +6,17 @@
 //! §2.2 of the paper eliminates this confound by statically mapping the DNS
 //! entry — [`DnsResolver::pin`] reproduces exactly that.
 
-use crate::clock::SimInstant;
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Default record TTL: 60 seconds, a typical load-balancer setting.
-pub const DEFAULT_TTL_MS: u64 = 60_000;
-
-/// Thread-safe name → IPs resolver with static overrides and per-client
-/// TTL caching.
+/// Thread-safe name → IPs resolver: round-robin rotation with static
+/// overrides.
 #[derive(Debug, Default)]
 pub struct DnsResolver {
-    records: RwLock<HashMap<String, (Vec<Ipv4Addr>, u64)>>,
+    records: RwLock<HashMap<String, Vec<Ipv4Addr>>>,
     overrides: RwLock<HashMap<String, Ipv4Addr>>,
-    /// (client, name) → (answer, expiry) — each client OS caches answers
-    /// for the record's TTL, which is what keeps an unpinned client on one
-    /// datacenter for minutes at a time.
-    client_cache: RwLock<HashMap<(Ipv4Addr, String), (Ipv4Addr, u64)>>,
     counter: AtomicU64,
 }
 
@@ -34,18 +26,10 @@ impl DnsResolver {
         Self::default()
     }
 
-    /// Register (or replace) the address set for a name with the default
-    /// 60-second TTL.
+    /// Register (or replace) the address set for a name.
     pub fn register(&self, name: impl Into<String>, addrs: Vec<Ipv4Addr>) {
-        self.register_with_ttl(name, addrs, DEFAULT_TTL_MS);
-    }
-
-    /// Register (or replace) the address set for a name with an explicit
-    /// TTL (milliseconds of virtual time).
-    pub fn register_with_ttl(&self, name: impl Into<String>, addrs: Vec<Ipv4Addr>, ttl_ms: u64) {
         assert!(!addrs.is_empty(), "a DNS record needs at least one address");
-        assert!(ttl_ms > 0, "TTL must be positive");
-        self.records.write().insert(name.into(), (addrs, ttl_ms));
+        self.records.write().insert(name.into(), addrs);
     }
 
     /// Statically map `name` to a single address, bypassing rotation — the
@@ -53,7 +37,7 @@ impl DnsResolver {
     /// the name's registered addresses (you can only pin to a real server).
     pub fn pin(&self, name: &str, addr: Ipv4Addr) {
         let records = self.records.read();
-        let (addrs, _) = records
+        let addrs = records
             .get(name)
             .unwrap_or_else(|| panic!("cannot pin unregistered name {name}"));
         assert!(
@@ -62,13 +46,6 @@ impl DnsResolver {
         );
         drop(records);
         self.overrides.write().insert(name.to_string(), addr);
-        // A static mapping bypasses (and invalidates) client caches.
-        self.client_cache.write().retain(|(_, n), _| n != name);
-    }
-
-    /// Remove a static mapping.
-    pub fn unpin(&self, name: &str) {
-        self.overrides.write().remove(name);
     }
 
     /// Resolve a name. Overrides win; otherwise round-robin over the record
@@ -78,45 +55,9 @@ impl DnsResolver {
             return Some(addr);
         }
         let records = self.records.read();
-        let (addrs, _) = records.get(name)?;
+        let addrs = records.get(name)?;
         let i = self.counter.fetch_add(1, Ordering::Relaxed) as usize % addrs.len();
         Some(addrs[i])
-    }
-
-    /// Resolve with a per-client TTL cache: the first lookup picks an
-    /// address (round-robin) and the client keeps getting it until the
-    /// record's TTL expires at virtual time `now`. Overrides bypass the
-    /// cache entirely.
-    pub fn resolve_cached(
-        &self,
-        client: Ipv4Addr,
-        name: &str,
-        now: SimInstant,
-    ) -> Option<Ipv4Addr> {
-        if let Some(&addr) = self.overrides.read().get(name) {
-            return Some(addr);
-        }
-        let key = (client, name.to_string());
-        if let Some(&(addr, expiry)) = self.client_cache.read().get(&key) {
-            if now.millis() < expiry {
-                return Some(addr);
-            }
-        }
-        let ttl = self.records.read().get(name)?.1;
-        let addr = self.resolve(name)?;
-        self.client_cache
-            .write()
-            .insert(key, (addr, now.millis() + ttl));
-        Some(addr)
-    }
-
-    /// All registered addresses of a name (for diagnostics/validation).
-    pub fn addresses(&self, name: &str) -> Vec<Ipv4Addr> {
-        self.records
-            .read()
-            .get(name)
-            .map(|(a, _)| a.clone())
-            .unwrap_or_default()
     }
 }
 
@@ -144,19 +85,12 @@ mod tests {
         for _ in 0..5 {
             assert_eq!(dns.resolve("search.example.com"), Some(ip("10.0.0.2")));
         }
-        dns.unpin("search.example.com");
-        let mut seen = std::collections::HashSet::new();
-        for _ in 0..4 {
-            seen.insert(dns.resolve("search.example.com").unwrap());
-        }
-        assert_eq!(seen.len(), 2, "rotation resumes after unpin");
     }
 
     #[test]
     fn unknown_name_is_none() {
         let dns = DnsResolver::new();
         assert_eq!(dns.resolve("nope.example"), None);
-        assert!(dns.addresses("nope.example").is_empty());
     }
 
     #[test]
@@ -172,61 +106,6 @@ mod tests {
     fn pin_requires_registered_name() {
         let dns = DnsResolver::new();
         dns.pin("a.example", ip("10.0.0.1"));
-    }
-
-    #[test]
-    fn cached_resolution_sticks_until_ttl() {
-        use crate::clock::SimInstant;
-        let dns = DnsResolver::new();
-        dns.register_with_ttl(
-            "svc.example",
-            vec![ip("10.0.0.1"), ip("10.0.0.2"), ip("10.0.0.3")],
-            1_000,
-        );
-        let client = ip("203.0.113.9");
-        let first = dns
-            .resolve_cached(client, "svc.example", SimInstant(0))
-            .unwrap();
-        // Within the TTL every lookup returns the cached answer even though
-        // plain resolution keeps rotating underneath.
-        for t in [1, 500, 999] {
-            assert_eq!(
-                dns.resolve_cached(client, "svc.example", SimInstant(t)),
-                Some(first)
-            );
-        }
-        // Another client gets its own (rotated) answer.
-        let other = dns
-            .resolve_cached(ip("203.0.113.10"), "svc.example", SimInstant(0))
-            .unwrap();
-        assert_ne!(other, first);
-        // After expiry the client may move datacenters.
-        let renewed = dns
-            .resolve_cached(client, "svc.example", SimInstant(1_000))
-            .unwrap();
-        assert_ne!(renewed, first, "rotation advanced past the cached answer");
-    }
-
-    #[test]
-    fn pin_overrides_and_flushes_caches() {
-        use crate::clock::SimInstant;
-        let dns = DnsResolver::new();
-        dns.register("svc.example", vec![ip("10.0.0.1"), ip("10.0.0.2")]);
-        let client = ip("203.0.113.9");
-        let cached = dns
-            .resolve_cached(client, "svc.example", SimInstant(0))
-            .unwrap();
-        let target = if cached == ip("10.0.0.1") {
-            ip("10.0.0.2")
-        } else {
-            ip("10.0.0.1")
-        };
-        dns.pin("svc.example", target);
-        assert_eq!(
-            dns.resolve_cached(client, "svc.example", SimInstant(1)),
-            Some(target),
-            "pinning must beat the client cache"
-        );
     }
 
     #[test]

@@ -51,11 +51,6 @@ impl FaultInjector {
         }
     }
 
-    /// A no-fault injector.
-    pub fn perfect(seed: Seed) -> Self {
-        Self::new(seed, 0.0, 0.0)
-    }
-
     /// The configured drop probability.
     pub fn drop_chance(&self) -> f64 {
         self.drop_chance
@@ -107,7 +102,7 @@ mod tests {
 
     #[test]
     fn perfect_injector_always_delivers() {
-        let f = FaultInjector::perfect(Seed::new(1));
+        let f = FaultInjector::new(Seed::new(1), 0.0, 0.0);
         assert!(!f.is_active());
         for nonce in 0..100 {
             assert_eq!(f.decide(nonce), FaultDecision::Deliver);

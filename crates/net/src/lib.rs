@@ -23,12 +23,9 @@
 //!   (smoltcp-style `--drop-chance` / `--corrupt-chance`);
 //! * [`RateLimiter`] — per-source sliding-window limits, keyed by exact IP or
 //!   /24, the constraint that forced the paper's machine pool;
-//! * [`TokenBucket`] — client-side egress shaping (smoltcp-style
-//!   `--tx-rate-limit`), installable per source via
-//!   [`SimNet::set_egress_shaper`];
 //! * [`Server`] — trait for simulated services; [`SimNet`] routes requests
-//!   from client IPs to registered servers and keeps a bounded [`EventLog`]
-//!   (a pcap-like trace).
+//!   from client IPs to registered servers and counts every exchange, fault
+//!   and failure in the shared metrics registry (`net.*`).
 //!
 //! Everything is `Send + Sync`; the crawler drives many clients from scoped
 //! threads against one shared [`SimNet`].
@@ -39,10 +36,8 @@ pub mod fault;
 pub mod http;
 pub mod ratelimit;
 pub mod server;
-pub mod shaper;
 pub mod shardmsg;
 pub mod sim;
-pub mod trace;
 pub mod wire;
 
 pub use clock::VirtualClock;
@@ -51,13 +46,11 @@ pub use fault::FaultInjector;
 pub use http::{Method, Request, Response, Status};
 pub use ratelimit::{RateLimitKey, RateLimiter};
 pub use server::{RequestCtx, Server};
-pub use shaper::{ShaperConfig, TokenBucket};
 pub use shardmsg::{
     ShardRetrieveRequest, ShardRetrieveResponse, ShardSuggestRequest, ShardSuggestResponse,
     SpellCandidate, SHARD_RETRIEVE_PATH, SHARD_SUGGEST_PATH,
 };
 pub use sim::{NetError, SimNet, SimNetBuilder};
-pub use trace::{EventLog, NetEvent, NetEventKind};
 pub use wire::{
     encode_request, encode_response, parse_request, parse_response, WireError, WireLimits,
     TRACE_HEADER,

@@ -1,13 +1,12 @@
 //! The network simulator: routes requests from client IPs to registered
-//! servers under DNS, latency, and fault models, logging every step.
+//! servers under DNS, latency, and fault models, counting every step in
+//! the metrics registry.
 
-use crate::clock::{SimInstant, VirtualClock};
+use crate::clock::VirtualClock;
 use crate::dns::DnsResolver;
 use crate::fault::{FaultDecision, FaultInjector};
 use crate::http::{Request, Response};
 use crate::server::{RequestCtx, Server};
-use crate::shaper::{ShaperConfig, TokenBucket};
-use crate::trace::{EventLog, NetEvent, NetEventKind};
 use geoserp_geo::Seed;
 use geoserp_obs::{Counter, Histogram, ObsHub};
 use parking_lot::{Mutex, RwLock};
@@ -25,10 +24,6 @@ pub enum NetError {
     ConnectionRefused(Ipv4Addr),
     /// The fault injector ate the message.
     Dropped,
-    /// The source's egress shaper has no tokens left right now.
-    Shaped,
-    /// The exchange exceeded the configured client timeout.
-    TimedOut,
 }
 
 impl fmt::Display for NetError {
@@ -37,8 +32,6 @@ impl fmt::Display for NetError {
             NetError::NoRoute(host) => write!(f, "no route to host {host}"),
             NetError::ConnectionRefused(ip) => write!(f, "connection refused at {ip}"),
             NetError::Dropped => write!(f, "request dropped"),
-            NetError::Shaped => write!(f, "egress shaper throttled the request"),
-            NetError::TimedOut => write!(f, "request timed out"),
         }
     }
 }
@@ -57,8 +50,6 @@ struct NetMetrics {
     refused: Counter,
     dropped: Counter,
     corrupted: Counter,
-    shaped: Counter,
-    timeouts: Counter,
 }
 
 impl NetMetrics {
@@ -73,8 +64,6 @@ impl NetMetrics {
             refused: m.counter("net.connection_refused"),
             dropped: m.counter("net.dropped"),
             corrupted: m.counter("net.corrupted"),
-            shaped: m.counter("net.shaped"),
-            timeouts: m.counter("net.timeouts"),
         }
     }
 }
@@ -112,16 +101,11 @@ pub struct SimNet {
     servers: RwLock<HashMap<Ipv4Addr, Arc<dyn Server>>>,
     latency: LatencyModel,
     faults: FaultInjector,
-    log: EventLog,
     /// Per-source request counters: seq = src_ip << 32 | counter. Keying by
     /// source makes sequence numbers deterministic even when many client
     /// threads drive the network concurrently (each client is single-
     /// threaded), which is what keeps parallel crawls replayable.
     seq_per_src: Mutex<HashMap<Ipv4Addr, u32>>,
-    /// Optional per-source egress shapers (smoltcp-style tx rate limits).
-    egress: RwLock<HashMap<Ipv4Addr, TokenBucket>>,
-    /// Optional client timeout: exchanges whose RTT exceeds it fail.
-    timeout_ms: Mutex<Option<u64>>,
     /// Shared observability hub (metrics + spans) for this world.
     obs: Arc<ObsHub>,
     /// Handles resolved once from `obs` at construction.
@@ -185,10 +169,7 @@ impl SimNetBuilder {
                 spread_ms: 40,
             },
             faults: FaultInjector::new(seed.derive("faults"), drop_chance, corrupt_chance),
-            log: EventLog::new(65_536),
             seq_per_src: Mutex::new(HashMap::new()),
-            egress: RwLock::new(HashMap::new()),
-            timeout_ms: Mutex::new(None),
             obs,
             metrics,
         }
@@ -213,21 +194,6 @@ impl SimNet {
         &self.obs
     }
 
-    /// Install (or replace) an egress token bucket for one source address.
-    pub fn set_egress_shaper(&self, src: Ipv4Addr, config: ShaperConfig) {
-        self.egress.write().insert(src, TokenBucket::new(config));
-    }
-
-    /// Remove a source's egress shaper.
-    pub fn clear_egress_shaper(&self, src: Ipv4Addr) {
-        self.egress.write().remove(&src);
-    }
-
-    /// Set (or clear) the client-side exchange timeout in milliseconds.
-    pub fn set_timeout_ms(&self, timeout: Option<u64>) {
-        *self.timeout_ms.lock() = timeout;
-    }
-
     /// The shared virtual clock.
     pub fn clock(&self) -> &VirtualClock {
         &self.clock
@@ -236,11 +202,6 @@ impl SimNet {
     /// The DNS resolver (register records, pin datacenters).
     pub fn dns(&self) -> &DnsResolver {
         &self.dns
-    }
-
-    /// The event log.
-    pub fn log(&self) -> &EventLog {
-        &self.log
     }
 
     /// The fault injector's `(drop_chance, corrupt_chance)` configuration —
@@ -295,26 +256,9 @@ impl SimNet {
     pub fn request(&self, src: Ipv4Addr, req: &Request) -> Result<(Response, u64), NetError> {
         let now = self.clock.now();
         self.metrics.requests.inc();
-        {
-            let egress = self.egress.read();
-            if let Some(bucket) = egress.get(&src) {
-                if !bucket.try_acquire(now) {
-                    self.metrics.shaped.inc();
-                    return Err(NetError::Shaped);
-                }
-            }
-        }
         self.metrics.dns_lookups.inc();
         let Some(dst) = self.dns.resolve(&req.host) else {
             self.metrics.no_route.inc();
-            self.log.record(NetEvent {
-                at: now,
-                src,
-                dst: None,
-                kind: NetEventKind::NoRoute {
-                    host: req.host.clone(),
-                },
-            });
             return Err(NetError::NoRoute(req.host.clone()));
         };
 
@@ -340,41 +284,12 @@ impl SimNet {
         match self.faults.decide(seq) {
             FaultDecision::Drop => {
                 self.metrics.dropped.inc();
-                self.log.record(NetEvent {
-                    at: now,
-                    src,
-                    dst: Some(dst),
-                    kind: NetEventKind::Dropped,
-                });
                 return Err(NetError::Dropped);
             }
             FaultDecision::Corrupt | FaultDecision::Deliver => {}
         }
 
         let rtt = self.latency.rtt_ms(src, dst, seq);
-        self.log.record(NetEvent {
-            at: now,
-            src,
-            dst: Some(dst),
-            kind: NetEventKind::Request {
-                host: req.host.clone(),
-                target: req.target(),
-            },
-        });
-
-        if let Some(limit) = *self.timeout_ms.lock() {
-            if rtt > limit {
-                self.metrics.timeouts.inc();
-                self.log.record(NetEvent {
-                    at: SimInstant(now.millis() + limit),
-                    src,
-                    dst: Some(dst),
-                    kind: NetEventKind::TimedOut,
-                });
-                return Err(NetError::TimedOut);
-            }
-        }
-
         let ctx = RequestCtx {
             src,
             dst,
@@ -389,24 +304,10 @@ impl SimNet {
         if self.faults.is_active() && self.faults.decide(resp_nonce) == FaultDecision::Corrupt {
             resp.body = self.faults.corrupt(resp_nonce, &resp.body);
             self.metrics.corrupted.inc();
-            self.log.record(NetEvent {
-                at: SimInstant(now.millis() + rtt),
-                src,
-                dst: Some(dst),
-                kind: NetEventKind::Corrupted,
-            });
         }
 
         self.metrics.responses.inc();
         self.metrics.rtt_ms.observe(rtt);
-        self.log.record(NetEvent {
-            at: SimInstant(now.millis() + rtt),
-            src,
-            dst: Some(dst),
-            kind: NetEventKind::Response {
-                status: resp.status.code(),
-            },
-        });
         Ok((resp, rtt))
     }
 }
@@ -531,51 +432,6 @@ mod tests {
         net.request(ip("10.0.0.9"), &Request::get("svc.example", "/"))
             .unwrap();
         assert_eq!(net.clock().now().millis(), 0);
-    }
-
-    #[test]
-    fn egress_shaper_throttles_then_recovers() {
-        let net = SimNet::builder(Seed::new(9)).build();
-        net.register_service("svc.example", &[ip("10.1.0.1")], echo_server());
-        net.set_egress_shaper(
-            ip("10.0.0.9"),
-            crate::shaper::ShaperConfig::per_second(1.0, 2),
-        );
-        let req = Request::get("svc.example", "/");
-        assert!(net.request(ip("10.0.0.9"), &req).is_ok());
-        assert!(net.request(ip("10.0.0.9"), &req).is_ok());
-        assert_eq!(
-            net.request(ip("10.0.0.9"), &req).unwrap_err(),
-            NetError::Shaped
-        );
-        // Another source is unaffected…
-        assert!(net.request(ip("10.0.0.10"), &req).is_ok());
-        // …and virtual time refills the bucket.
-        net.clock().advance_ms(1_100);
-        assert!(net.request(ip("10.0.0.9"), &req).is_ok());
-        net.clear_egress_shaper(ip("10.0.0.9"));
-        assert!(net.request(ip("10.0.0.9"), &req).is_ok());
-        assert!(net.request(ip("10.0.0.9"), &req).is_ok());
-    }
-
-    #[test]
-    fn timeout_fails_slow_exchanges() {
-        let net = SimNet::builder(Seed::new(10)).build();
-        net.register_service("svc.example", &[ip("10.1.0.1")], echo_server());
-        // RTTs are 40–120 ms; a 1 ms deadline fails everything…
-        net.set_timeout_ms(Some(1));
-        assert_eq!(
-            net.request(ip("10.0.0.9"), &Request::get("svc.example", "/"))
-                .unwrap_err(),
-            NetError::TimedOut
-        );
-        assert_eq!(net.obs().metrics().counter("net.timeouts").get(), 1);
-        // …and a generous one passes.
-        net.set_timeout_ms(Some(10_000));
-        assert!(net
-            .request(ip("10.0.0.9"), &Request::get("svc.example", "/"))
-            .is_ok());
-        net.set_timeout_ms(None);
     }
 
     #[test]

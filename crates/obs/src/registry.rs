@@ -171,7 +171,16 @@ impl Histogram {
         let cell = &*self.0;
         cell.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
         cell.count.fetch_add(1, Ordering::Relaxed);
-        cell.sum.fetch_add(value, Ordering::Relaxed);
+        // Saturate rather than wrap: an add that overflowed pins the sum at
+        // u64::MAX, and every later add overflows again and re-pins it.
+        if cell
+            .sum
+            .fetch_add(value, Ordering::Relaxed)
+            .checked_add(value)
+            .is_none()
+        {
+            cell.sum.store(u64::MAX, Ordering::Relaxed);
+        }
         cell.max.fetch_max(value, Ordering::Relaxed);
         cell.min.fetch_min(value, Ordering::Relaxed);
     }
@@ -535,6 +544,18 @@ mod tests {
         assert!(s.p90 >= 500 && s.p90 <= 900, "p90={}", s.p90);
         assert_eq!(s.p99, 900);
         assert!((s.mean() - 172.9).abs() < 1e-9);
+    }
+
+    #[test]
+    fn histogram_sum_saturates_instead_of_wrapping() {
+        let h = MetricsRegistry::new().histogram("crawler.backoff_ms");
+        h.observe(u64::MAX);
+        h.observe(u64::MAX);
+        h.observe(7);
+        let s = h.snapshot();
+        assert_eq!(s.count, 3);
+        assert_eq!(s.sum, u64::MAX, "the sum never falls below the max");
+        assert_eq!(s.max, u64::MAX);
     }
 
     #[test]

@@ -363,32 +363,3 @@ mod router_faults {
         }
     }
 }
-
-#[test]
-fn event_log_counts_are_windowed_not_lifetime() {
-    // `EventLog` is a debug ring that keeps no totals, so counting what
-    // its snapshot holds after a long crawl undercounts once eviction
-    // starts. Lifetime fault totals come from the registry (`net.dropped`)
-    // and the dataset meta (which survives checkpoints), never from the
-    // trace window.
-    use geoserp::net::clock::SimInstant;
-    use geoserp::net::{EventLog, NetEvent, NetEventKind};
-    let log = EventLog::new(8);
-    for i in 0..20u64 {
-        log.record(NetEvent {
-            at: SimInstant(i),
-            src: "10.0.0.1".parse().unwrap(),
-            dst: None,
-            kind: NetEventKind::Dropped,
-        });
-    }
-    let snap = log.snapshot();
-    assert_eq!(
-        snap.iter()
-            .filter(|e| matches!(e.kind, NetEventKind::Dropped))
-            .count(),
-        8,
-        "windowed count sees only the surviving ring"
-    );
-    assert_eq!(snap[0].at, SimInstant(12), "oldest events were evicted");
-}

@@ -2,9 +2,12 @@
 //! timing, DNS pinning, identical fingerprints, rate-limit avoidance, and
 //! the 11-minute history defeat.
 
-use geoserp::net::NetEventKind;
+use geoserp::engine::{SearchService, SEARCH_HOST};
+use geoserp::net::{Request, RequestCtx, Server};
 use geoserp::prelude::*;
 use std::collections::BTreeMap;
+use std::net::Ipv4Addr;
+use std::sync::{Arc, Mutex};
 
 fn tiny_plan() -> ExperimentPlan {
     ExperimentPlan {
@@ -21,15 +24,12 @@ fn rounds_run_in_lock_step_and_waits_are_eleven_minutes() {
     let crawler = study.crawler();
     let _ds = crawler.run(&tiny_plan());
 
-    // Group search requests by timestamp: each round's requests share one
-    // virtual instant, and distinct instants are ≥ 11 minutes apart within
-    // a day.
+    // Group jobs by their virtual start: each round's jobs share one
+    // instant, and distinct instants are ≥ 11 minutes apart within a day.
     let mut by_time: BTreeMap<u64, usize> = BTreeMap::new();
-    for e in crawler.net().log().snapshot() {
-        if let NetEventKind::Request { target, .. } = &e.kind {
-            if target.starts_with("/search") {
-                *by_time.entry(e.at.millis()).or_default() += 1;
-            }
+    for span in crawler.obs().spans().snapshot() {
+        if span.cat == "crawler.job" {
+            *by_time.entry(span.start_ms).or_default() += 1;
         }
     }
     assert!(!by_time.is_empty());
@@ -53,17 +53,40 @@ fn rounds_run_in_lock_step_and_waits_are_eleven_minutes() {
 fn all_traffic_hits_the_pinned_datacenter() {
     let study = Study::builder().seed(5).plan(tiny_plan()).build().unwrap();
     let crawler = study.crawler();
-    let _ds = crawler.run(&tiny_plan());
-    let mut dsts = std::collections::HashSet::new();
-    for e in crawler.net().log().snapshot() {
-        if let NetEventKind::Request { .. } = e.kind {
-            dsts.insert(e.dst.unwrap());
-        }
+    let net = crawler.net();
+    // Re-install the service behind a recorder at every datacenter address,
+    // so each address reports the paths it served.
+    let addrs = SearchService::install(net, Arc::clone(crawler.engine()));
+    assert!(addrs.len() > 1, "pinning needs datacenters to choose from");
+    let service = Arc::new(SearchService::new(Arc::clone(crawler.engine()), &addrs));
+    let seen: Arc<Mutex<BTreeMap<(Ipv4Addr, String), u64>>> = Arc::default();
+    for &addr in &addrs {
+        let (service, seen) = (Arc::clone(&service), Arc::clone(&seen));
+        net.register_server(
+            addr,
+            Arc::new(move |ctx: &RequestCtx, req: &Request| {
+                *seen
+                    .lock()
+                    .unwrap()
+                    .entry((addr, req.path.clone()))
+                    .or_default() += 1;
+                service.handle(ctx, req)
+            }),
+        );
     }
+    let ds = crawler.run(&tiny_plan());
+
+    let pinned = net.dns().resolve(SEARCH_HOST).unwrap();
+    let jobs = ds.observations().len() as u64;
+    let expected: BTreeMap<(Ipv4Addr, String), u64> = [
+        ((pinned, "/".to_string()), jobs),
+        ((pinned, "/search".to_string()), jobs),
+    ]
+    .into();
     assert_eq!(
-        dsts.len(),
-        1,
-        "DNS pinning must fix one datacenter: {dsts:?}"
+        *seen.lock().unwrap(),
+        expected,
+        "DNS pinning must send every homepage load and search to one datacenter"
     );
 }
 
@@ -75,15 +98,9 @@ fn no_request_was_rate_limited_or_failed() {
     assert_eq!(ds.meta.failed_jobs, 0);
     let throttled = crawler.obs().metrics().counter("engine.rate_limited");
     assert_eq!(throttled.get(), 0);
-    // The tiny plan's events all fit in the trace ring.
-    let errors = crawler
-        .net()
-        .log()
-        .snapshot()
-        .into_iter()
-        .filter(|e| matches!(e.kind, NetEventKind::Response { status } if status >= 400))
-        .count();
-    assert_eq!(errors, 0);
+    // Every page that was not 2xx counts as a net error, over the whole
+    // crawl.
+    assert_eq!(ds.meta.net_errors, 0);
 }
 
 #[test]
@@ -91,14 +108,8 @@ fn treatments_present_identical_fingerprints() {
     use geoserp::browser::Browser;
     let study = Study::builder().seed(5).build().unwrap();
     let crawler = study.crawler();
-    let a = Browser::new(
-        std::sync::Arc::clone(crawler.net()),
-        geoserp::net::ip("198.51.100.1"),
-    );
-    let b = Browser::new(
-        std::sync::Arc::clone(crawler.net()),
-        geoserp::net::ip("198.51.100.2"),
-    );
+    let a = Browser::new(Arc::clone(crawler.net()), geoserp::net::ip("198.51.100.1"));
+    let b = Browser::new(Arc::clone(crawler.net()), geoserp::net::ip("198.51.100.2"));
     assert_eq!(a.fingerprint(), b.fingerprint());
     assert!(a.cookies().is_empty() && b.cookies().is_empty());
 }

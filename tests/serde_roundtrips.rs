@@ -66,23 +66,6 @@ fn serp_page_roundtrips_via_serde_not_just_markup() {
 }
 
 #[test]
-fn net_events_roundtrip() {
-    use geoserp::net::{NetEvent, NetEventKind};
-    let e = NetEvent {
-        at: geoserp::net::clock::SimInstant(42),
-        src: "10.0.0.1".parse().unwrap(),
-        dst: Some("10.1.0.1".parse().unwrap()),
-        kind: NetEventKind::Request {
-            host: "h".into(),
-            target: "/t?q=x".into(),
-        },
-    };
-    let json = serde_json::to_string(&e).unwrap();
-    let back: NetEvent = serde_json::from_str(&json).unwrap();
-    assert_eq!(e, back);
-}
-
-#[test]
 fn corpus_roundtrips_and_is_equivalent_for_search() {
     // A corpus serialized and restored must drive the engine to identical
     // SERPs (the acid test that nothing analysis-relevant is `serde(skip)`ed
