@@ -17,15 +17,6 @@
 //! | `demographics` | §3.2 — demographic correlations (the null result) |
 //! | `ablations` | DESIGN.md's design-choice ablations |
 //!
-//! Two benchmarks write JSON artifacts instead: `index_scale` races the
-//! exact vs compressed index backends across corpus scales (byte-identity
-//! asserted before timing) into `BENCH_index.json`, and `obs_overhead`
-//! times instrumented vs no-op observability into `BENCH_obs.json`. The
-//! default binary, `geoserp-bench check <serve|obs|index> <fresh>
-//! <baseline>`, is the CI perf gate over those artifacts and the serve
-//! load matrix's `BENCH_serve.json` (see [`check`]). End-to-end crawl and
-//! analysis throughput is measured by the `perfbench` package instead.
-//!
 //! Run any of them with `cargo run --release -p geoserp-bench --bin figN`.
 //! Scale is controlled by `GEOSERP_SCALE`:
 //!
@@ -33,10 +24,47 @@
 //! * `medium` (default) — tens of seconds; shapes are stable;
 //! * `full` — the paper's complete plan (240 queries × 59 locations ×
 //!   2 roles × 5 days/block), minutes of wall clock.
-
-pub mod check;
+//!
+//! The world seed is `GEOSERP_SEED` (default 2015). A value of either
+//! variable that does not parse is printed as an [`EnvError`] and the
+//! binary exits with code 2. Performance is measured by the `perfbench`
+//! package, not here.
 
 use geoserp_core::prelude::*;
+use std::fmt;
+
+/// An environment value the regenerators refuse.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EnvError {
+    /// The variable, e.g. `GEOSERP_SCALE`.
+    pub var: &'static str,
+    /// The value as read.
+    pub value: String,
+    /// What the variable accepts.
+    pub expected: &'static str,
+}
+
+impl fmt::Display for EnvError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{}={:?}: expected {}",
+            self.var, self.value, self.expected
+        )
+    }
+}
+
+impl std::error::Error for EnvError {}
+
+/// Read `var` and parse it with `parse`. A refused value is printed as
+/// `geoserp-bench: <error>` and the process exits with code 2.
+fn env_or_exit<T>(var: &str, parse: fn(Option<&str>) -> Result<T, EnvError>) -> T {
+    let value = std::env::var_os(var).map(|v| v.to_string_lossy().into_owned());
+    parse(value.as_deref()).unwrap_or_else(|e| {
+        eprintln!("geoserp-bench: {e}");
+        std::process::exit(2)
+    })
+}
 
 /// Scale selected via the `GEOSERP_SCALE` env var.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,15 +75,23 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Read `GEOSERP_SCALE` (default `medium`). Unknown values panic with a
-    /// usage hint.
-    pub fn from_env() -> Scale {
-        match std::env::var("GEOSERP_SCALE").as_deref() {
-            Err(_) | Ok("medium") => Scale::Medium,
-            Ok("quick") => Scale::Quick,
-            Ok("full") => Scale::Full,
-            Ok(other) => panic!("GEOSERP_SCALE={other}; expected quick|medium|full"),
+    /// Parse a `GEOSERP_SCALE` value; unset means `medium`.
+    pub fn parse(value: Option<&str>) -> Result<Scale, EnvError> {
+        match value {
+            None | Some("medium") => Ok(Scale::Medium),
+            Some("quick") => Ok(Scale::Quick),
+            Some("full") => Ok(Scale::Full),
+            Some(other) => Err(EnvError {
+                var: "GEOSERP_SCALE",
+                value: other.to_string(),
+                expected: "quick|medium|full",
+            }),
         }
+    }
+
+    /// Read `GEOSERP_SCALE`, exiting with code 2 on a refused value.
+    pub fn from_env() -> Scale {
+        env_or_exit("GEOSERP_SCALE", Scale::parse)
     }
 
     /// The experiment plan at this scale.
@@ -87,12 +123,22 @@ impl Scale {
     }
 }
 
-/// The world seed every regenerator uses (override with `GEOSERP_SEED`).
+/// Parse a `GEOSERP_SEED` value; unset means 2015, the paper's year.
+pub fn parse_seed(value: Option<&str>) -> Result<u64, EnvError> {
+    match value {
+        None => Ok(2015),
+        Some(s) => s.parse().map_err(|_| EnvError {
+            var: "GEOSERP_SEED",
+            value: s.to_string(),
+            expected: "an unsigned integer",
+        }),
+    }
+}
+
+/// The world seed every regenerator uses: `GEOSERP_SEED`, exiting with
+/// code 2 on a refused value.
 pub fn seed_from_env() -> u64 {
-    std::env::var("GEOSERP_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2015)
+    env_or_exit("GEOSERP_SEED", parse_seed)
 }
 
 /// Build the study and dataset shared by the figure regenerators, printing
@@ -132,10 +178,23 @@ mod tests {
     }
 
     #[test]
-    fn default_seed_is_paper_year() {
-        // (Only holds when GEOSERP_SEED is unset, as in CI.)
-        if std::env::var("GEOSERP_SEED").is_err() {
-            assert_eq!(seed_from_env(), 2015);
+    fn env_values_parse_or_are_refused_with_a_typed_error() {
+        assert_eq!(Scale::parse(None), Ok(Scale::Medium));
+        assert_eq!(Scale::parse(Some("quick")), Ok(Scale::Quick));
+        assert_eq!(Scale::parse(Some("full")), Ok(Scale::Full));
+        assert_eq!(
+            Scale::parse(Some("bogus")).unwrap_err().to_string(),
+            "GEOSERP_SCALE=\"bogus\": expected quick|medium|full"
+        );
+        assert_eq!(parse_seed(None), Ok(2015));
+        assert_eq!(parse_seed(Some("7")), Ok(7));
+        // A letter O where a zero belongs is refused, not read as 2015.
+        assert_eq!(
+            parse_seed(Some("2O15")).unwrap_err().to_string(),
+            "GEOSERP_SEED=\"2O15\": expected an unsigned integer"
+        );
+        for bad in ["", "-1", "2015 ", "18446744073709551616"] {
+            assert!(parse_seed(Some(bad)).is_err(), "{bad:?} parsed");
         }
     }
 }

@@ -164,22 +164,16 @@ COMMANDS:
     router       the sharded tier as a first-class command: `serve` with
                  mandatory sharding; same flags, defaults --shards 2
                  --replicas 2
-    loadgen      closed-loop load generator; reports throughput + p50/p99
-                   --addr A        target a running `geoserp serve`
-                                   (omit to self-host a sweep; see --matrix)
+    loadgen      closed-loop load generator against one running server or
+                 router; reports throughput (responses received per
+                 second) + p50/p99
+                   --addr A        the `geoserp serve` or `router` address
+                                   (required)
                    --requests N    total requests        [200]
                    --concurrency C client threads        [4]
                    --keep-alive B  true|false            [true]
                    --query Q       search term           [Coffee]
-                   --matrix        sweep worker counts x keep-alive x load
-                                   shape, then router topologies, against
-                                   in-process servers on ephemeral
-                                   ports (engine result cache enabled so the
-                                   sweep measures serving mechanics)
-                   --workers LIST  (matrix) comma-separated counts [1,4]
-                   --seed N        (matrix) world seed   [2015]
                    --out FILE      also write the JSON report
-                                   (BENCH_serve.json shape in matrix mode)
                    --trace-out F   after the run, pull /spans from --addr
                                    and write the assembled Chrome trace
     trace        assemble per-process span logs into one Chrome trace
@@ -949,38 +943,10 @@ pub fn cmd_loadgen(args: &ParsedArgs) -> Result<String, CliError> {
         ));
     }
 
-    if args.has("matrix") || args.get("addr").is_none() {
-        if args.get("trace-out").is_some() {
-            return Err(CliError::Invalid(
-                "--trace-out needs --addr (a live server to pull /spans from)".into(),
-            ));
-        }
-        let seed = args.get_u64("seed", 2015)?;
-        let workers: Vec<usize> = args
-            .get("workers")
-            .unwrap_or("1,4")
-            .split(',')
-            .map(|w| {
-                w.trim()
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| {
-                        CliError::Invalid(format!("--workers {w:?}: expected positive integers"))
-                    })
-            })
-            .collect::<Result<_, _>>()?;
-        let report = loadgen::run_matrix(seed, &workers, requests, concurrency)
-            .map_err(CliError::Invalid)?;
-        let mut out = report.to_table();
-        if let Some(file) = args.get("out") {
-            std::fs::write(file, report.to_json())?;
-            out.push_str(&format!("(report written to {file})\n"));
-        }
-        return Ok(out);
-    }
-
-    let addr = args.get("addr").expect("checked above").to_string();
+    let addr = args
+        .get("addr")
+        .ok_or_else(|| CliError::Invalid("loadgen needs --addr (a running server)".into()))?
+        .to_string();
     let mut cfg = LoadgenConfig::new()
         .requests(requests)
         .concurrency(concurrency)
@@ -1720,6 +1686,12 @@ mod tests {
         let err = cmd_trace(&p).unwrap_err();
         assert!(err.to_string().contains("span dumps"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn loadgen_requires_an_addr() {
+        let p = parse(&argv("loadgen --requests 10"), &["requests"], &[]).unwrap();
+        assert!(matches!(cmd_loadgen(&p), Err(CliError::Invalid(_))));
     }
 
     #[test]

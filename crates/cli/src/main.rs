@@ -81,12 +81,10 @@ fn dispatch(argv: &[String]) -> Result<String, CliError> {
                     "concurrency",
                     "keep-alive",
                     "query",
-                    "workers",
-                    "seed",
                     "out",
                     "trace-out",
                 ],
-                &["matrix"],
+                &[],
             )?;
             cmd_loadgen(&p)
         }
@@ -138,5 +136,7 @@ mod tests {
         let err =
             dispatch(&argv("serve --backend blocking --smoke --addr 127.0.0.1:0")).unwrap_err();
         assert!(err.to_string().contains("--backend"), "{err}");
+        let err = dispatch(&argv("loadgen --matrix --workers 1,4")).unwrap_err();
+        assert!(err.to_string().contains("--matrix"), "{err}");
     }
 }

@@ -31,6 +31,11 @@
 //! the single-process server's — the differential battery in
 //! `tests/sharded_equivalence.rs` proves it cell by cell.
 //!
+//! [`loadgen`] is a closed-loop client for one running server or router
+//! (`geoserp loadgen --addr`); it reports throughput and p50/p99 latency.
+//! Paired performance runs are perfbench's `serve_direct` and
+//! `serve_routed` workloads.
+//!
 //! [`SearchService`]: geoserp_engine::SearchService
 //!
 //! ```no_run
@@ -51,7 +56,7 @@ pub mod shard;
 pub mod timer;
 pub mod topology;
 
-pub use loadgen::{LoadgenConfig, LoadgenReport, MatrixEntry, MatrixReport};
+pub use loadgen::{LoadgenConfig, LoadgenReport};
 pub use router::{ClusterConfig, DelayServer, RemoteRetriever, ShardedCluster};
 pub use server::{ServeConfig, ServedWorld, SocketServer, DAY_MS};
 pub use shard::ShardService;

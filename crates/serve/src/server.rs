@@ -182,8 +182,8 @@ impl ServeConfig {
     }
 
     /// Apply the serve-tier engine overrides to a base engine config: the
-    /// per-IP limit bump every serving entry point (CLI `serve`, loadgen
-    /// matrix, sharded cluster) must share, in one place.
+    /// per-IP limit bump every serving entry point (CLI `serve` and
+    /// `router`, the sharded cluster's router) must share, in one place.
     pub fn engine_config(&self, base: EngineConfig) -> EngineConfig {
         EngineConfig {
             rate_limit_max: self.engine_rate_limit_max,

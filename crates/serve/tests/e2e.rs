@@ -9,7 +9,10 @@ use geoserp_geo::{Seed, UsGeography};
 use geoserp_net::{
     encode_request, ip, parse_response, Request, Response, SimNet, Status, WireLimits,
 };
-use geoserp_serve::{LoadgenConfig, ServeConfig, ServedWorld, SocketServer};
+use geoserp_serve::{
+    loadgen, ClusterConfig, LoadgenConfig, LoadgenReport, ServeConfig, ServedWorld, ShardedCluster,
+    SocketServer,
+};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -532,65 +535,65 @@ fn epoll_drain_closes_idle_keepalive_connections_promptly() {
     }
 }
 
+/// Every request of a loadgen run got a `200`, and the throughput counts
+/// exactly those responses.
+fn assert_all_ok(report: &LoadgenReport, requests: usize, shape: &str) {
+    assert_eq!(report.requests, requests, "{shape}");
+    assert_eq!(
+        (report.ok, report.errors),
+        (requests, 0),
+        "{shape}: {report:?}"
+    );
+    assert_eq!(
+        (report.throughput_rps * report.elapsed_s).round() as usize,
+        requests,
+        "{shape}: throughput is responses per second"
+    );
+    assert!(report.p50_us > 0, "{shape}: {report:?}");
+    assert!(report.p99_us >= report.p50_us, "{shape}: {report:?}");
+}
+
 #[test]
 fn loadgen_measures_the_server() {
-    let report = geoserp_serve::loadgen::run_matrix(SEED, &[2], 60, 3).unwrap();
-    assert_eq!(
-        report.entries.len(),
-        6,
-        "(2 firehose cells + 1 slow-client cell) + 3 router cells"
-    );
-    assert_eq!(
-        report
-            .entries
-            .iter()
-            .filter(|e| e.backend == "router")
-            .map(|e| (e.shards, e.replicas))
-            .collect::<Vec<_>>(),
-        vec![(1, 1), (2, 1), (2, 2)],
-        "router cells sweep the topology"
-    );
-    for e in &report.entries {
-        if e.backend == "router" {
-            assert_eq!(e.concurrency, 3);
-            assert_eq!(e.report.ok + e.report.errors, 60);
-            assert!(e.report.ok > 0, "routed requests must succeed: {e:?}");
-            continue;
-        }
-        assert_eq!(e.workers, 2);
-        assert_eq!(e.backend, "epoll", "{e:?}");
-        assert_eq!((e.shards, e.replicas), (0, 0), "direct cells: no router");
-        let expected = if e.think_ms > 0 {
-            assert_eq!(e.concurrency, 16, "slow-client cell: 8 clients/worker");
-            e.concurrency * 5
-        } else {
-            assert_eq!(e.concurrency, 3);
-            60
-        };
-        assert_eq!(e.report.ok + e.report.errors, expected);
-        assert!(e.report.ok > 0, "some requests must succeed: {e:?}");
-        assert!(e.report.throughput_rps > 0.0);
-        assert!(e.report.p50_us > 0);
-        assert!(e.report.p99_us >= e.report.p50_us);
+    // The engine's per-IP limit raised as every serving entry point
+    // raises it: all loadgen clients share 127.0.0.1.
+    let config = ServeConfig::new().workers(2);
+    let world =
+        ServedWorld::build(SEED, config.engine_config(EngineConfig::paper_defaults())).unwrap();
+    let server = SocketServer::start("127.0.0.1:0", &world, config).unwrap();
+    let addr = server.local_addr().to_string();
+    for keep_alive in [true, false] {
+        let cfg = LoadgenConfig::new()
+            .requests(80)
+            .concurrency(16)
+            .keep_alive(keep_alive);
+        let report = loadgen::run(&addr, &cfg).unwrap();
+        assert_all_ok(&report, 80, &format!("2 workers, keep-alive {keep_alive}"));
     }
-    let json = report.to_json();
-    assert!(json.contains("\"throughput_rps\""), "{json}");
-    assert!(json.contains("\"backend\""), "{json}");
-
-    // Single-target mode against a live server.
-    let world = world();
-    let server = SocketServer::start(
-        "127.0.0.1:0",
-        &world,
-        ServeConfig::new().rate_limit(usize::MAX / 2, 60_000),
-    )
-    .unwrap();
-    let single = geoserp_serve::loadgen::run(
-        &server.local_addr().to_string(),
-        &LoadgenConfig::new().requests(20).concurrency(2),
-    )
-    .unwrap();
-    assert_eq!(single.requests, 20);
-    assert!(single.errors > 0 || single.ok > 0);
     server.shutdown();
+
+    let cluster = ShardedCluster::start(
+        "127.0.0.1:0",
+        SEED,
+        EngineConfig::paper_defaults(),
+        ClusterConfig::new(2, 2),
+    )
+    .unwrap();
+    let cfg = LoadgenConfig::new().requests(40).concurrency(4);
+    let report = loadgen::run(&cluster.router_addr().to_string(), &cfg).unwrap();
+    assert_all_ok(&report, 40, "2x2 router");
+    cluster.shutdown();
+}
+
+#[test]
+fn loadgen_counts_no_throughput_against_a_closed_port() {
+    let addr = std::net::TcpListener::bind("127.0.0.1:0")
+        .unwrap()
+        .local_addr()
+        .unwrap();
+    // The listener is dropped: nothing accepts on `addr` any more.
+    let cfg = LoadgenConfig::new().requests(50).concurrency(2);
+    let report = loadgen::run(&addr.to_string(), &cfg).unwrap();
+    assert_eq!((report.ok, report.errors), (0, 50), "{report:?}");
+    assert_eq!(report.throughput_rps, 0.0, "{report:?}");
 }

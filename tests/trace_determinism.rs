@@ -197,7 +197,9 @@ fn hedge_fault_cell_marks_the_losing_arm_deterministically() {
 #[test]
 fn tracing_off_serves_byte_identical_pages_and_an_empty_span_log() {
     let geo = UsGeography::generate(Seed::new(SEED));
-    let run = |tracing: bool| {
+    // Each shape serves the sequence and returns the pages plus the number
+    // of spans its processes recorded.
+    let single = |tracing: bool| {
         let config = ServeConfig::new().tracing(tracing);
         let world =
             ServedWorld::build(SEED, config.engine_config(EngineConfig::paper_defaults())).unwrap();
@@ -206,15 +208,35 @@ fn tracing_off_serves_byte_identical_pages_and_an_empty_span_log() {
         settle(0);
         let spans = request_tcp(server.local_addr(), &Request::get(SEARCH_HOST, "/spans"));
         server.shutdown();
-        (pages, spans.body_text())
+        let spans = parse_process_spans(&spans.body_text()).unwrap().spans.len();
+        (pages, spans as u64)
     };
-    let (pages_on, spans_on) = run(true);
-    let (pages_off, spans_off) = run(false);
-    assert_eq!(pages_on, pages_off, "tracing changed served page bytes");
-    let off = parse_process_spans(&spans_off).unwrap();
-    assert!(off.spans.is_empty(), "--no-tracing still recorded spans");
-    assert!(
-        !parse_process_spans(&spans_on).unwrap().spans.is_empty(),
-        "tracing on recorded nothing"
-    );
+    let routed = |tracing: bool| {
+        let cluster = ShardedCluster::start(
+            "127.0.0.1:0",
+            SEED,
+            EngineConfig::paper_defaults(),
+            ClusterConfig::new(2, 2).serve(ServeConfig::new().tracing(tracing)),
+        )
+        .unwrap();
+        let pages = replay(cluster.router_addr(), &request_sequence(&geo));
+        settle(0);
+        let spans = std::iter::once(&cluster.hub)
+            .chain(cluster.shard_hubs.iter().flatten())
+            .map(|hub| hub.spans().total_recorded())
+            .sum::<u64>();
+        cluster.shutdown();
+        (pages, spans)
+    };
+    for (shape, (pages_on, spans_on), (pages_off, spans_off)) in [
+        ("single-process", single(true), single(false)),
+        ("routed 2x2", routed(true), routed(false)),
+    ] {
+        assert_eq!(
+            pages_on, pages_off,
+            "{shape}: tracing changed served page bytes"
+        );
+        assert_eq!(spans_off, 0, "{shape}: --no-tracing still recorded spans");
+        assert!(spans_on > 0, "{shape}: tracing on recorded nothing");
+    }
 }
