@@ -95,7 +95,9 @@ COMMANDS:
                                            path gets the snapshot JSON that
                                            `geoserp report` reads, any other
                                            path Prometheus text exposition
-                   --trace-out FILE        write Chrome trace-event JSON
+                   --trace-out FILE        write Chrome trace-event JSON,
+                                           one span per lock-step round
+                                           with its term and job count
                                            (load in Perfetto or
                                            chrome://tracing)
                  parallel analysis (report bytes never change):
@@ -370,8 +372,9 @@ pub fn cmd_run(args: &ParsedArgs) -> Result<String, CliError> {
         ));
     }
     if let Some(file) = args.get("trace-out") {
-        let trace = geoserp_core::obs::to_chrome_trace(&obs.spans().snapshot());
-        std::fs::write(file, trace)?;
+        use geoserp_core::obs::{assemble_chrome_trace, ProcessSpans};
+        let spans = ProcessSpans::from_records("crawler", &obs.spans().snapshot());
+        std::fs::write(file, assemble_chrome_trace(&[spans]))?;
         out.push_str(&format!(
             "(trace written to {file}; load in Perfetto or chrome://tracing)\n"
         ));
@@ -955,6 +958,12 @@ pub fn cmd_loadgen(args: &ParsedArgs) -> Result<String, CliError> {
         cfg = cfg.query(q);
     }
     let report = loadgen::run(&addr, &cfg)?;
+    if report.ok == 0 {
+        return Err(CliError::Invalid(format!(
+            "loadgen against {addr}: all {} requests failed",
+            report.requests
+        )));
+    }
     let mut out = format!(
         "loadgen against {addr}: {} requests, {} ok, {} errors in {:.2}s\n\
          throughput {:.0} req/s   p50 {} us   p99 {} us\n",
@@ -1198,12 +1207,21 @@ mod tests {
         assert!(out.contains("metrics written"), "{out}");
         assert!(out.contains("trace written"), "{out}");
 
-        // The trace is Chrome trace-event JSON with crawler spans.
-        let trace_json = std::fs::read_to_string(&trace).unwrap();
-        assert!(trace_json.contains("\"traceEvents\""), "not a chrome trace");
-        assert!(trace_json.contains("crawler.round"));
-        assert!(trace_json.contains("crawler.job"));
-        assert!(trace_json.contains("crawler.attempt"));
+        // The trace is Chrome trace-event JSON: a `crawler` process row and
+        // one complete event per round (counted below), and every complete
+        // event is a round: nothing per job or attempt.
+        let doc: serde_json::Value =
+            serde_json::from_str(&std::fs::read_to_string(&trace).unwrap()).unwrap();
+        let events = doc["traceEvents"].as_array().expect("a chrome trace");
+        let process = events.iter().find(|e| e["ph"].as_str() == Some("M"));
+        assert_eq!(process.unwrap()["args"]["name"].as_str(), Some("crawler"));
+        let spans: Vec<_> = events
+            .iter()
+            .filter(|e| e["ph"].as_str() == Some("X"))
+            .collect();
+        assert!(spans
+            .iter()
+            .all(|e| e["cat"].as_str() == Some("crawler.round")));
 
         // `geoserp report` renders the snapshot, and its crawler totals
         // reconcile with the dataset metadata they are derived from.
@@ -1231,6 +1249,7 @@ mod tests {
             snap.counters["crawler.jobs"],
             dataset.observations().len() as u64 + dataset.meta.failed_jobs
         );
+        assert_eq!(spans.len() as u64, snap.counters["crawler.rounds"]);
         assert!(report.contains(&dataset.meta.attempts.to_string()));
 
         // A non-.json metrics path gets Prometheus text exposition.
@@ -1692,6 +1711,31 @@ mod tests {
     fn loadgen_requires_an_addr() {
         let p = parse(&argv("loadgen --requests 10"), &["requests"], &[]).unwrap();
         assert!(matches!(cmd_loadgen(&p), Err(CliError::Invalid(_))));
+    }
+
+    #[test]
+    fn loadgen_fails_when_every_request_fails() {
+        // A port that was just listening and is now closed: every connect
+        // is refused, so no request gets a response.
+        let addr = std::net::TcpListener::bind("127.0.0.1:0")
+            .unwrap()
+            .local_addr()
+            .unwrap();
+        let p = parse(
+            &argv(&format!(
+                "loadgen --addr {addr} --requests 20 --concurrency 2"
+            )),
+            &["addr", "requests", "concurrency"],
+            &[],
+        )
+        .unwrap();
+        match cmd_loadgen(&p) {
+            Err(CliError::Invalid(msg)) => assert_eq!(
+                msg,
+                format!("loadgen against {addr}: all 20 requests failed")
+            ),
+            other => panic!("expected an error, got {other:?}"),
+        }
     }
 
     #[test]

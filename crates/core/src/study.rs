@@ -1,6 +1,6 @@
 //! The [`Study`] builder: seed + engine config + plan → world → dataset.
 
-use geoserp_analysis::{AnalysisOptions, Workers};
+use geoserp_analysis::AnalysisOptions;
 use geoserp_crawler::{
     run_validation, CrawlProgress, Crawler, Dataset, ExperimentPlan, ValidationReport,
 };
@@ -71,13 +71,6 @@ impl StudyBuilder {
     /// treatment+control × 5 days per block — minutes of wall-clock).
     pub fn paper_full(mut self) -> Self {
         self.plan = ExperimentPlan::paper_full();
-        self
-    }
-
-    /// Set the analysis worker policy (`Auto`, `Fixed(n)`, or `Serial`).
-    /// Affects report wall-clock only, never report bytes.
-    pub fn analysis_workers(mut self, workers: Workers) -> Self {
-        self.analysis.workers = workers;
         self
     }
 

@@ -122,6 +122,14 @@ struct RoundDesc<'a> {
     first_of_day: bool,
 }
 
+impl RoundDesc<'_> {
+    /// The round's simultaneous fetches: a treatment and a control per
+    /// location.
+    fn jobs(&self) -> usize {
+        self.locs.len() * 2
+    }
+}
+
 /// A job's parsed page and the datacenter that served it.
 struct JobOutput {
     page: SerpPage,
@@ -246,7 +254,7 @@ impl Crawler {
     /// Build the world reporting into a caller-supplied observability hub.
     /// The hub is shared with the network simulator and the engine, so one
     /// snapshot covers the whole pipeline; pass [`ObsHub::disabled`] for a
-    /// no-op registry (the overhead benchmark does).
+    /// no-op registry and span log. Either hub yields the same dataset.
     pub fn with_config_faults_and_obs(
         seed: Seed,
         config: EngineConfig,
@@ -497,9 +505,7 @@ impl Crawler {
             ckpt.dataset
         };
 
-        let fetch = |&(round, round_span): &(&RoundDesc, u64), index: usize| {
-            self.fetch_job(round, round_span, index, policy)
-        };
+        let fetch = |round: &&RoundDesc, index: usize| self.fetch_job(round, index, policy);
         let dataset = std::thread::scope(|scope| {
             let executor = Executor::start(scope, workers, self.pool.len(), &fetch);
 
@@ -559,14 +565,13 @@ impl Crawler {
                 }
                 position_clock(round);
                 let round_start = self.net.clock().now().millis();
-                let round_span = self.obs.spans().alloc_id();
-                let results = executor.round((round, round_span), round.locs.len() * 2, || {
+                let results = executor.round(round, round.jobs(), || {
                     if let Some((prev, results)) = pending.take() {
                         finish_round(prev, results, &mut dataset, &mut completed_rounds);
                     }
                 });
                 advance_clock();
-                self.record_round_span(round_span, round, round_start);
+                self.record_round_span(round, round_start);
                 pending = Some((round, results));
             }
             if let Some((prev, results)) = pending.take() {
@@ -657,7 +662,7 @@ impl Crawler {
         }
         let jobs = rounds[..ckpt.completed_rounds]
             .iter()
-            .map(|r| r.locs.len() as u64 * 2)
+            .map(|r| r.jobs() as u64)
             .sum();
         let max_attempts = u64::from(plan.retry.max_attempts.max(1));
         ckpt.dataset
@@ -728,14 +733,15 @@ impl Crawler {
         Ok(())
     }
 
-    /// Record a completed round span: the round ran at `start_ms` (every
-    /// job of a lock-step round shares that virtual instant) and owns the
-    /// inter-query wait that follows it.
-    fn record_round_span(&self, id: u64, round: &RoundDesc, start_ms: u64) {
+    /// Record a completed round span, the crawl's only span: the round's
+    /// `jobs` simultaneous fetches ran at `start_ms` (every job of a
+    /// lock-step round shares that virtual instant), and the span owns the
+    /// inter-query wait that follows them.
+    fn record_round_span(&self, round: &RoundDesc, start_ms: u64) {
         self.metrics.rounds.inc();
         let now = self.net.clock().now().millis();
         self.obs.spans().record(SpanRecord {
-            id,
+            id: self.obs.spans().alloc_id(),
             parent: 0,
             name: format!("round {} @{:?}", round.term.term, round.gran).into(),
             cat: "crawler.round",
@@ -746,6 +752,7 @@ impl Crawler {
                 ("term", round.term.term.clone()),
                 ("granularity", format!("{:?}", round.gran)),
                 ("day", round.abs_day.to_string()),
+                ("jobs", round.jobs().to_string()),
             ],
             wall_us: None,
         });
@@ -836,31 +843,15 @@ impl Crawler {
     /// One job: fresh browser, spoofed GPS, homepage + query, parse, retry
     /// on damage under the plan's [`RetryPolicy`], clear cookies. Counts
     /// its attempts in a [`JobTally`] for the scheduler to fold into the
-    /// meta, and writes no metric.
-    ///
-    /// Observability: emits one `crawler.job` span (parent = the round's
-    /// span, tid = machine track) plus one `crawler.attempt` span per fetch
-    /// attempt, all stamped from the virtual clock — every job of a
-    /// lock-step round starts at the same virtual instant, so the spans are
-    /// identical for every worker count.
+    /// meta, and writes no metric and no span.
     fn fetch_job(
         &self,
         round: &RoundDesc,
-        round_span: u64,
         index: usize,
         policy: &RetryPolicy,
     ) -> (JobTally, Option<JobOutput>) {
         let machine = self.pool.assign(index);
         let coord = round.locs[index / 2].coord;
-        let track = index % self.pool.len();
-        let spans_on = self.obs.is_enabled();
-        let tid = track as u32 + 1;
-        let start_ms = self.net.clock().now().millis();
-        let job_span = if spans_on {
-            self.obs.spans().alloc_id()
-        } else {
-            0
-        };
         let mut browser = Browser::new(Arc::clone(&self.net), machine);
         browser.max_attempts = policy.load_attempts.max(1) as usize;
         // Backoff runs on a per-job ghost timeline: advancing the shared
@@ -868,13 +859,6 @@ impl Crawler {
         // (every fetch of a lock-step round happens at the same virtual
         // instant), so waits are accounted, not enacted.
         let mut tally = JobTally::default();
-        // Virtual time the engine spent serving this job's successful
-        // search exchanges — the job span's service component.
-        let mut serve_ms = 0u64;
-        let mut output = None;
-        // Spans finished during the job accumulate locally and land in the
-        // log as one batch — one ring-lock acquisition per job, not per span.
-        let mut pending_spans: Vec<SpanRecord> = Vec::new();
         for attempt in 0..policy.max_attempts.max(1) {
             if attempt > 0 {
                 let wait = policy.backoff_before(attempt);
@@ -890,92 +874,31 @@ impl Crawler {
                 tally.backoff_ms = tally.backoff_ms.saturating_add(wait);
             }
             tally.attempts += 1;
-            let mut attempt_ms = 0u64;
-            let outcome = match browser.run_search_job(SEARCH_HOST, &round.term.term, coord) {
-                Ok(fetch) => {
-                    attempt_ms = fetch.rtt_ms;
-                    match geoserp_serp::parse(&fetch.body) {
-                        Ok(page) => {
-                            browser.clear_cookies();
-                            output = Some(JobOutput {
-                                page,
-                                datacenter: fetch.datacenter.unwrap_or_default(),
-                            });
-                            "ok"
-                        }
-                        Err(_damaged) => {
-                            tally.parse_failures += 1;
-                            "parse_failure" // corrupted body: refetch
-                        }
+            match browser.run_search_job(SEARCH_HOST, &round.term.term, coord) {
+                Ok(fetch) => match geoserp_serp::parse(&fetch.body) {
+                    Ok(page) => {
+                        browser.clear_cookies();
+                        let output = JobOutput {
+                            page,
+                            datacenter: fetch.datacenter.unwrap_or_default(),
+                        };
+                        return (tally, Some(output));
                     }
-                }
+                    // Corrupted body: refetch.
+                    Err(_damaged) => tally.parse_failures += 1,
+                },
                 Err(e) => {
                     tally.net_errors += 1;
+                    // Also a net error (the accounting identity over
+                    // retries and failed jobs is unchanged), separately
+                    // visible as rate-limiter pressure.
                     if matches!(e, BrowserError::Http(Status::TooManyRequests)) {
-                        // Also a net error (the accounting identity over
-                        // retries and failed jobs is unchanged), separately
-                        // visible as rate-limiter pressure.
                         tally.rate_limited += 1;
-                        "rate_limited"
-                    } else {
-                        "net_error"
                     }
                 }
-            };
-            serve_ms += attempt_ms;
-            if spans_on {
-                let id = self.obs.spans().alloc_id();
-                pending_spans.push(SpanRecord {
-                    id,
-                    parent: job_span,
-                    // Static names for the retry budget's usual range keep
-                    // the per-attempt record allocation-light.
-                    name: match attempt {
-                        0 => "attempt 0".into(),
-                        1 => "attempt 1".into(),
-                        2 => "attempt 2".into(),
-                        n => format!("attempt {n}").into(),
-                    },
-                    cat: "crawler.attempt",
-                    tid,
-                    start_ms,
-                    dur_ms: attempt_ms,
-                    args: vec![
-                        ("job", index.to_string()),
-                        ("attempt", attempt.to_string()),
-                        ("outcome", outcome.to_string()),
-                    ],
-                    wall_us: None,
-                });
-            }
-            if output.is_some() {
-                break;
             }
         }
-        if spans_on {
-            pending_spans.push(SpanRecord {
-                id: job_span,
-                parent: round_span,
-                name: format!("job {index}").into(),
-                cat: "crawler.job",
-                tid,
-                start_ms,
-                dur_ms: serve_ms.saturating_add(tally.backoff_ms),
-                args: vec![
-                    ("job", index.to_string()),
-                    ("machine", machine.to_string()),
-                    (
-                        "outcome",
-                        if output.is_some() { "ok" } else { "failed" }.to_string(),
-                    ),
-                ],
-                wall_us: None,
-            });
-        }
-        if !pending_spans.is_empty() {
-            self.obs.spans().record_batch(pending_spans);
-        }
-        (tally, output)
+        (tally, None)
     }
 }
 

@@ -12,7 +12,7 @@
 //! (the engine falls back to IP geolocation and results scatter with the
 //! machines' physical locations) — the contrast *is* the validation.
 
-use crate::machines::{MachinePool, PLANETLAB_SIZE};
+use crate::machines::MachinePool;
 use geoserp_browser::Browser;
 use geoserp_corpus::{QueryCategory, WebCorpus};
 use geoserp_engine::{EngineConfig, SearchEngine, SearchService, SEARCH_HOST};
@@ -170,16 +170,6 @@ pub fn run_validation(
         ip_mean_pairwise_jaccard: mean(&ip_jaccards),
         ip_identical_pair_fraction: mean(&ip_identicals),
     }
-}
-
-/// Paper-scale defaults: 50 machines.
-pub fn run_validation_paper(seed: Seed, queries: usize) -> ValidationReport {
-    run_validation(
-        seed,
-        EngineConfig::paper_defaults(),
-        PLANETLAB_SIZE,
-        queries,
-    )
 }
 
 #[cfg(test)]

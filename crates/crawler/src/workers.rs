@@ -264,13 +264,16 @@ mod tests {
         use crate::{CrawlBackend, CrawlCheckpoint, Dataset, ExperimentPlan};
         use geoserp_engine::EngineConfig;
         use geoserp_geo::Seed;
-        use geoserp_obs::{to_chrome_trace, MetricsSnapshot};
+        use geoserp_obs::{assemble_chrome_trace, MetricsSnapshot, ProcessSpans};
         use proptest::prelude::*;
         use std::cell::RefCell;
 
         /// The checkpoint battery's fault cells.
         const DROPS: [f64; 3] = [0.0, 0.10, 0.30];
         const CORRUPTS: [f64; 3] = [0.0, 0.05, 0.15];
+
+        /// The rounds `plan` schedules, each recording one span.
+        const ROUNDS: u64 = 9;
 
         /// 9 rounds of 12 jobs, one per machine: 12 machines to claim per
         /// round, fewer than most drawn worker counts.
@@ -293,46 +296,52 @@ mod tests {
         }
 
         /// An uninterrupted crawl on `workers` workers: the dataset JSON,
-        /// the Chrome trace and the deterministic metrics.
+        /// the Chrome trace, the deterministic metrics and the spans
+        /// recorded.
         fn observe(
             seed: u64,
             cell: (f64, f64),
             workers: usize,
-        ) -> (String, String, MetricsSnapshot) {
+        ) -> (String, String, MetricsSnapshot, u64) {
             let crawler = crawler(seed, cell.0, cell.1);
             let opts = CrawlOptions::new(CrawlBackend::Serial);
             let dataset = crawler.run_on(&plan(), opts, workers, |_| {}).unwrap();
             let obs = crawler.obs();
+            let spans = ProcessSpans::from_records("crawler", &obs.spans().snapshot());
             (
                 dataset.to_json(),
-                to_chrome_trace(&obs.spans().snapshot()),
+                assemble_chrome_trace(&[spans]),
                 obs.snapshot().deterministic(),
+                obs.spans().total_recorded(),
             )
         }
 
         /// Kill a crawl on `workers` after `kill` rounds, with a checkpoint
-        /// there, and resume it on a fresh world on `resume_workers`.
+        /// there, and resume it on a fresh world on `resume_workers`. Also
+        /// returns the spans each leg recorded.
         fn kill_and_resume(
             seed: u64,
             cell: (f64, f64),
             workers: usize,
             kill: usize,
             resume_workers: usize,
-        ) -> Dataset {
+        ) -> (Dataset, [u64; 2]) {
             let last = RefCell::new(None);
             let sink = |c: &CrawlCheckpoint| *last.borrow_mut() = Some(c.clone());
             let opts = CrawlOptions::new(CrawlBackend::Serial)
                 .checkpoint_every(kill)
                 .on_checkpoint(&sink)
                 .stop_after_rounds(kill);
-            crawler(seed, cell.0, cell.1)
-                .run_on(&plan(), opts, workers, |_| {})
-                .unwrap();
+            let killed = crawler(seed, cell.0, cell.1);
+            killed.run_on(&plan(), opts, workers, |_| {}).unwrap();
             let ckpt = last.into_inner().expect("a checkpoint at the kill");
             let opts = CrawlOptions::new(CrawlBackend::Serial).resume(ckpt);
-            crawler(seed, cell.0, cell.1)
+            let resumed = crawler(seed, cell.0, cell.1);
+            let dataset = resumed
                 .run_on(&plan(), opts, resume_workers, |_| {})
-                .unwrap()
+                .unwrap();
+            let spans = [&killed, &resumed].map(|c| c.obs().spans().total_recorded());
+            (dataset, spans)
         }
 
         proptest! {
@@ -348,17 +357,20 @@ mod tests {
                 resume_workers in 1usize..65,
             ) {
                 let cell = (DROPS[drop_i], CORRUPTS[corrupt_i]);
-                let (json, trace, metrics) = observe(seed, cell, 1);
-                let (w_json, w_trace, w_metrics) = observe(seed, cell, workers);
+                let (json, trace, metrics, spans) = observe(seed, cell, 1);
+                let (w_json, w_trace, w_metrics, w_spans) = observe(seed, cell, workers);
                 prop_assert_eq!(&w_json, &json, "seed={} workers={} cell={:?}", seed, workers, cell);
                 prop_assert_eq!(w_trace, trace, "trace: seed={} workers={}", seed, workers);
                 prop_assert_eq!(w_metrics, metrics, "metrics: seed={} workers={}", seed, workers);
-                let resumed = kill_and_resume(seed, cell, workers, kill, resume_workers);
+                // One span per round, retries or not.
+                prop_assert_eq!([spans, w_spans], [ROUNDS; 2]);
+                let (resumed, leg_spans) = kill_and_resume(seed, cell, workers, kill, resume_workers);
                 prop_assert_eq!(
                     resumed.to_json(), json,
                     "seed={} killed at {} on {} workers, resumed on {}",
                     seed, kill, workers, resume_workers
                 );
+                prop_assert_eq!(leg_spans, [kill as u64, ROUNDS - kill as u64]);
             }
         }
     }

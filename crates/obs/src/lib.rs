@@ -8,31 +8,31 @@
 //!    taken after registration.
 //! 2. A [`SpanLog`] of completed spans stamped from the shared virtual
 //!    clock (millisecond timestamps), so instrumented runs stay byte-identical
-//!    across crawl backends and golden dataset digests are unaffected.
+//!    across crawl backends and golden dataset digests are unaffected. A
+//!    crawl records one span per lock-step round; a server, a few per
+//!    request.
 //!
 //! Wall-clock measurements are allowed, but only under metric names carrying
 //!    the `_wall_` marker; [`MetricsSnapshot::deterministic`] strips them so
 //!    determinism comparisons never see host timing.
 //!
 //! Exporters: Prometheus-style text ([`MetricsSnapshot::to_prometheus`]),
-//! Chrome trace-event JSON ([`export::to_chrome_trace`]) loadable in
-//! Perfetto / `chrome://tracing`, and a human [`report::render_run_report`]
-//! per-stage breakdown table.
+//! a human [`report::render_run_report`] per-stage breakdown table, and
+//! Chrome trace-event JSON loadable in Perfetto / `chrome://tracing`.
 //!
-//! The [`trace`] module extends the span log across process boundaries:
-//! deterministic [`TraceContext`]s propagate over the serve tier's wire
-//! protocol and [`assemble_chrome_trace`] stitches per-process span logs
-//! into one causally-linked, byte-stable Chrome trace.
+//! Every Chrome trace goes through the [`trace`] module, which also carries
+//! the span log across process boundaries: deterministic [`TraceContext`]s
+//! propagate over the serve tier's wire protocol, and
+//! [`assemble_chrome_trace`] stitches one or more per-process span logs
+//! (a crawl's is one process) into one causally-linked, byte-stable trace.
 
 #![warn(missing_docs)]
 
-pub mod export;
 pub mod registry;
 pub mod report;
 pub mod span;
 pub mod trace;
 
-pub use export::to_chrome_trace;
 pub use registry::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
 };
@@ -63,19 +63,14 @@ impl ObsHub {
         }
     }
 
-    /// A no-op hub: every handle it hands out discards writes. Used to
-    /// measure instrumentation overhead and for callers that want zero
-    /// observability cost.
+    /// A no-op hub: every handle it hands out discards writes. For callers
+    /// that want zero observability cost, and for checking that
+    /// instrumentation never changes what it observes.
     pub fn disabled() -> Self {
         Self {
             metrics: MetricsRegistry::disabled(),
             spans: SpanLog::disabled(),
         }
-    }
-
-    /// Whether this hub records anything.
-    pub fn is_enabled(&self) -> bool {
-        self.metrics.is_enabled()
     }
 
     /// The metrics registry half.
@@ -136,7 +131,7 @@ mod tests {
         assert!(snap.counters.is_empty());
         assert!(snap.histograms.is_empty());
         assert!(hub.spans().snapshot().is_empty());
-        assert!(!hub.is_enabled());
+        assert_eq!(hub.spans().total_recorded(), 0);
     }
 
     #[test]

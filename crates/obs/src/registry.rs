@@ -300,11 +300,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Whether this registry records anything.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Get or register the counter `name`.
     pub fn counter(&self, name: &str) -> Counter {
         if !self.enabled {

@@ -1,11 +1,14 @@
 //! Completed-span log stamped from the virtual clock.
 //!
 //! Spans are recorded *after* they finish (start + duration in virtual
-//! milliseconds), with explicit parent IDs so nesting survives thread
-//! boundaries — a crawl round span owns job spans that may complete on
-//! worker threads, which in turn own per-attempt spans. IDs are allocated
-//! from an atomic counter, so allocation order (and therefore raw IDs) may
-//! differ between backends; the Chrome exporter renumbers deterministically.
+//! milliseconds), with explicit parent IDs so nesting survives thread and
+//! process boundaries — a router's request span owns the shard RPCs that
+//! replicas serve on other threads. A crawl records one root span per
+//! lock-step round, on the scheduler thread. IDs are allocated from an
+//! atomic counter or derived from a trace context, so raw IDs need not
+//! follow content order; the Chrome exporter
+//! ([`assemble_chrome_trace`](crate::assemble_chrome_trace)) renumbers
+//! deterministically.
 
 use std::borrow::Cow;
 use std::collections::VecDeque;
@@ -22,14 +25,15 @@ pub struct SpanRecord {
     pub id: u64,
     /// Parent span ID, or 0 for a root span.
     pub parent: u64,
-    /// Human-readable name, e.g. `round 3: "car insurance" @County`.
-    /// `Cow` so fixed names (the common per-attempt case) record without
-    /// allocating — spans are emitted on the crawl's hot path.
+    /// Human-readable name, e.g. `round Coffee @County`. `Cow` so fixed
+    /// names (the serve tier's stage spans) record without allocating.
     pub name: Cow<'static, str>,
-    /// Category: `crawler.round`, `crawler.job`, or `crawler.attempt`.
+    /// Category, e.g. `crawler.round`, `serve.request` or `serve.stage`.
     /// Always a literal at the recording site, so no allocation.
     pub cat: &'static str,
-    /// Logical track: 0 for the scheduler, `1 + machine_index` for workers.
+    /// Logical track within the process. Every span recorded today is on
+    /// track 0; the field is kept because the `/spans` collector document
+    /// carries it.
     pub tid: u32,
     /// Virtual start time in milliseconds.
     pub start_ms: u64,
@@ -107,23 +111,6 @@ impl SpanLog {
         }
         buf.spans.push_back(span);
         buf.total += 1;
-    }
-
-    /// Record several finished spans under one lock acquisition — hot-path
-    /// callers (a crawl job's attempts plus the job span itself) batch to
-    /// keep worker threads from colliding on the ring once per span.
-    pub fn record_batch(&self, spans: impl IntoIterator<Item = SpanRecord>) {
-        if !self.enabled {
-            return;
-        }
-        let mut buf = self.buf.lock();
-        for span in spans {
-            if buf.spans.len() == self.capacity {
-                buf.spans.pop_front();
-            }
-            buf.spans.push_back(span);
-            buf.total += 1;
-        }
     }
 
     /// Copy of the retained spans, oldest first.

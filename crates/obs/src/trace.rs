@@ -33,9 +33,11 @@
 //! Every server exposes its own span log as a [`ProcessSpans`] JSON
 //! document (the `/spans` collector endpoint). A collector pulls one per
 //! process — or reads dumped files — and [`assemble_chrome_trace`] merges
-//! them into a single Chrome trace with one `pid` row per process,
-//! renumbered exactly like [`crate::export::to_chrome_trace`] so the
-//! merged document is byte-identical for virtually-identical runs.
+//! them into a single Chrome trace with one `pid` row per process, sorted
+//! and renumbered by content so the merged document is byte-identical for
+//! virtually-identical runs. It is the only Chrome trace writer: a crawl's
+//! `--trace-out` is the one-process case, `ProcessSpans::from_records`
+//! over the crawler's round spans.
 
 use std::borrow::Cow;
 use std::cell::RefCell;
@@ -280,32 +282,6 @@ pub fn current() -> Option<TraceContext> {
     ACTIVE.with(|a| a.borrow().last().map(|x| x.ctx))
 }
 
-/// Record a span under the active context (no-op without one). Returns the
-/// span ID when recorded.
-pub fn record_span(
-    name: Cow<'static, str>,
-    cat: &'static str,
-    off_ms: u64,
-    dur_ms: u64,
-    args: Vec<(&'static str, String)>,
-    wall_us: Option<u64>,
-) -> Option<u64> {
-    ACTIVE.with(|a| {
-        let a = a.borrow();
-        let active = a.last()?;
-        Some(record_span_with(
-            &active.hub,
-            &active.ctx,
-            name,
-            cat,
-            off_ms,
-            dur_ms,
-            args,
-            wall_us,
-        ))
-    })
-}
-
 /// Record a stage span (and feed its wall-clock histogram) under the
 /// active context; no-op without one.
 pub fn record_stage(stage: Stage, wall_us: Option<u64>) {
@@ -462,10 +438,12 @@ fn depth_of(span: &SpanDto, by_id: &HashMap<u64, &SpanDto>) -> u32 {
 /// Processes are sorted by name and assigned `pid` rows in that order
 /// (with `process_name` metadata events); spans are sorted by
 /// deterministic content — `(start_ms, depth, pid, tid, name, args)` —
-/// then renumbered from 1 in sorted order, exactly like
-/// [`crate::export::to_chrome_trace`], with parent links (including
-/// cross-process ones) rewritten through the same mapping. Byte-identical
-/// for virtually-identical runs regardless of socket timing.
+/// then renumbered from 1 in sorted order, with parent links (including
+/// cross-process ones) rewritten through the same mapping; a parent that
+/// is in no process's log (evicted from its ring) renders as 0. Raw IDs
+/// therefore never reach the output, and neither does wall-clock timing:
+/// the document is byte-identical for virtually-identical runs regardless
+/// of socket timing, crawl worker count or span-ID allocation order.
 pub fn assemble_chrome_trace(processes: &[ProcessSpans]) -> String {
     let mut order: Vec<&ProcessSpans> = processes.iter().collect();
     order.sort_by(|a, b| a.process.cmp(&b.process));
@@ -665,7 +643,7 @@ mod tests {
             Stage::Retrieve,
             None,
         );
-        // The rpc span itself, router-side.
+        // The rpc span itself, router-side, with host timing attached.
         record_span_with(
             &router_hub,
             &root.child("retrieve"),
@@ -674,7 +652,18 @@ mod tests {
             2,
             1,
             vec![("outcome", "win".into())],
-            None,
+            Some(41),
+        );
+        // A span whose parent is in no log (evicted from its ring).
+        record_span_with(
+            &router_hub,
+            &TraceContext::root(99),
+            Cow::Borrowed("orphan"),
+            "serve.request",
+            0,
+            REQUEST_DUR_MS,
+            Vec::new(),
+            Some(7),
         );
 
         let router = parse_process_spans(&process_spans_json(
@@ -691,11 +680,12 @@ mod tests {
         let a = assemble_chrome_trace(&[router.clone(), shard.clone()]);
         let b = assemble_chrome_trace(&[shard, router]);
         assert_eq!(a, b, "assembly is invariant to pull order");
+        assert!(!a.contains("wall"), "host timing leaked into the trace");
 
         let doc: Value = serde_json::from_str(&a).unwrap();
         let events = doc["traceEvents"].as_array().unwrap();
-        // 2 process_name metadata events + 3 spans.
-        assert_eq!(events.len(), 5);
+        // 2 process_name metadata events + 4 spans.
+        assert_eq!(events.len(), 6);
         assert_eq!(events[0]["ph"].as_str(), Some("M"));
         assert_eq!(events[0]["args"]["name"].as_str(), Some("router"));
         assert_eq!(events[1]["args"]["name"].as_str(), Some("shard0.r1"));
@@ -707,6 +697,7 @@ mod tests {
         let rpc_ev = by_name["rpc s0.r1 #0"];
         let shard_retrieve = by_name["retrieve"];
         assert_eq!(request["args"]["parent"].as_u64(), Some(0));
+        assert_eq!(by_name["orphan"]["args"]["parent"].as_u64(), Some(0));
         assert_eq!(rpc_ev["pid"].as_u64(), Some(1));
         assert_eq!(shard_retrieve["pid"].as_u64(), Some(2));
         // Causal chain: shard retrieve → router rpc span, across processes.

@@ -119,12 +119,6 @@ impl CardType {
         self.builtin_spec().rtype
     }
 
-    /// True for meta-cards whose *every* link is extracted (Maps, News,
-    /// local packs, ads).
-    pub fn extract_all_links(self) -> bool {
-        self.builtin_spec().extraction == ExtractionRule::AllLinks
-    }
-
     /// The `type="…"` attribute value this card renders with.
     pub fn wire_name(self) -> &'static str {
         self.builtin_spec().wire_name

@@ -69,7 +69,7 @@
 //! [`ShardedCluster::assemble_trace`] stitches the router's and every
 //! replica's span log into one merged Chrome trace.
 
-use crate::server::{ServeConfig, SocketServer, DAY_MS};
+use crate::server::{ServeConfig, SocketServer};
 use crate::shard::{retrieve_request, suggest_request, ShardService};
 use crate::topology::{HashRing, ShardPlan, DEFAULT_VNODES};
 use geoserp_engine::index::Candidate;
@@ -1014,11 +1014,6 @@ impl ShardedCluster {
                 server.shutdown();
             }
         }
-    }
-
-    /// The virtual day the cluster serves (for building reference worlds).
-    pub fn day_ms(day: u32) -> u64 {
-        u64::from(day) * DAY_MS
     }
 }
 

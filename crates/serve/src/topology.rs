@@ -110,11 +110,6 @@ impl HashRing {
         HashRing { points, replicas }
     }
 
-    /// Number of replicas on the ring.
-    pub fn replica_count(&self) -> u32 {
-        self.replicas
-    }
-
     /// The replica owning `key`: the first ring point at or after the
     /// key's hash, wrapping at the top.
     pub fn pick(&self, key: u64) -> u32 {

@@ -9,6 +9,9 @@ use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 use std::sync::{Arc, Mutex};
 
+/// Milliseconds per simulated day.
+const DAY_MS: u64 = 86_400_000;
+
 fn tiny_plan() -> ExperimentPlan {
     ExperimentPlan {
         days: 1,
@@ -18,21 +21,47 @@ fn tiny_plan() -> ExperimentPlan {
     }
 }
 
+/// Every request a datacenter served: (address, path, virtual arrival ms).
+type Served = Arc<Mutex<Vec<(Ipv4Addr, String, u64)>>>;
+
+/// Re-install the search service behind a recorder at every datacenter
+/// address, so each address logs the requests it serves and when.
+fn record_traffic(crawler: &Crawler) -> Served {
+    let net = crawler.net();
+    let addrs = SearchService::install(net, Arc::clone(crawler.engine()));
+    assert!(addrs.len() > 1, "pinning needs datacenters to choose from");
+    let service = Arc::new(SearchService::new(Arc::clone(crawler.engine()), &addrs));
+    let seen = Served::default();
+    for &addr in &addrs {
+        let (service, seen) = (Arc::clone(&service), Arc::clone(&seen));
+        net.register_server(
+            addr,
+            Arc::new(move |ctx: &RequestCtx, req: &Request| {
+                let at = ctx.at.millis();
+                seen.lock().unwrap().push((addr, req.path.clone(), at));
+                service.handle(ctx, req)
+            }),
+        );
+    }
+    seen
+}
+
 #[test]
 fn rounds_run_in_lock_step_and_waits_are_eleven_minutes() {
     let study = Study::builder().seed(5).plan(tiny_plan()).build().unwrap();
     let crawler = study.crawler();
-    let _ds = crawler.run(&tiny_plan());
+    let seen = record_traffic(&crawler);
+    crawler.run(&tiny_plan());
 
-    // Group jobs by their virtual start: each round's jobs share one
-    // instant, and distinct instants are ≥ 11 minutes apart within a day.
+    // Group searches by the virtual instant the service saw them: each
+    // round's searches share one instant.
     let mut by_time: BTreeMap<u64, usize> = BTreeMap::new();
-    for span in crawler.obs().spans().snapshot() {
-        if span.cat == "crawler.job" {
-            *by_time.entry(span.start_ms).or_default() += 1;
+    for (_, path, at) in seen.lock().unwrap().iter() {
+        if path == "/search" {
+            *by_time.entry(*at).or_default() += 1;
         }
     }
-    assert!(!by_time.is_empty());
+    assert!(by_time.len() > 1);
     for count in by_time.values() {
         // 4 locations × 2 roles = 8 simultaneous queries per round.
         assert_eq!(*count, 8, "round sizes: {by_time:?}");
@@ -40,12 +69,11 @@ fn rounds_run_in_lock_step_and_waits_are_eleven_minutes() {
     let times: Vec<u64> = by_time.keys().copied().collect();
     for w in times.windows(2) {
         let gap = w[1] - w[0];
-        // Same-day gaps are exactly the 11-minute wait; day boundaries are
-        // larger.
-        assert!(
-            gap == 11 * 60_000 || gap > 60 * 60_000,
-            "unexpected inter-round gap {gap} ms"
-        );
+        if w[0] / DAY_MS == w[1] / DAY_MS {
+            assert_eq!(gap, 11 * 60_000, "same-day gap at {} ms", w[0]);
+        } else {
+            assert!(gap > 60 * 60_000, "gap of {gap} ms across a day boundary");
+        }
     }
 }
 
@@ -53,30 +81,14 @@ fn rounds_run_in_lock_step_and_waits_are_eleven_minutes() {
 fn all_traffic_hits_the_pinned_datacenter() {
     let study = Study::builder().seed(5).plan(tiny_plan()).build().unwrap();
     let crawler = study.crawler();
-    let net = crawler.net();
-    // Re-install the service behind a recorder at every datacenter address,
-    // so each address reports the paths it served.
-    let addrs = SearchService::install(net, Arc::clone(crawler.engine()));
-    assert!(addrs.len() > 1, "pinning needs datacenters to choose from");
-    let service = Arc::new(SearchService::new(Arc::clone(crawler.engine()), &addrs));
-    let seen: Arc<Mutex<BTreeMap<(Ipv4Addr, String), u64>>> = Arc::default();
-    for &addr in &addrs {
-        let (service, seen) = (Arc::clone(&service), Arc::clone(&seen));
-        net.register_server(
-            addr,
-            Arc::new(move |ctx: &RequestCtx, req: &Request| {
-                *seen
-                    .lock()
-                    .unwrap()
-                    .entry((addr, req.path.clone()))
-                    .or_default() += 1;
-                service.handle(ctx, req)
-            }),
-        );
-    }
+    let seen = record_traffic(&crawler);
     let ds = crawler.run(&tiny_plan());
 
-    let pinned = net.dns().resolve(SEARCH_HOST).unwrap();
+    let mut served: BTreeMap<(Ipv4Addr, String), u64> = BTreeMap::new();
+    for (addr, path, _) in seen.lock().unwrap().iter() {
+        *served.entry((*addr, path.clone())).or_default() += 1;
+    }
+    let pinned = crawler.net().dns().resolve(SEARCH_HOST).unwrap();
     let jobs = ds.observations().len() as u64;
     let expected: BTreeMap<(Ipv4Addr, String), u64> = [
         ((pinned, "/".to_string()), jobs),
@@ -84,8 +96,7 @@ fn all_traffic_hits_the_pinned_datacenter() {
     ]
     .into();
     assert_eq!(
-        *seen.lock().unwrap(),
-        expected,
+        served, expected,
         "DNS pinning must send every homepage load and search to one datacenter"
     );
 }
