@@ -506,9 +506,11 @@ pub fn cmd_analyze(args: &ParsedArgs) -> Result<String, CliError> {
         .positional
         .first()
         .ok_or_else(|| CliError::Invalid("analyze needs a dataset file".into()))?;
-    let json = std::fs::read_to_string(file)?;
-    let dataset = Dataset::from_json(&json)
-        .map_err(|e| CliError::Invalid(format!("{file}: not a geoserp dataset: {e}")))?;
+    let dataset =
+        Dataset::from_reader(std::fs::File::open(file)?).map_err(|e| match e.classify() {
+            serde_json::Category::Io => CliError::Io(e.into()),
+            _ => CliError::Invalid(format!("{file}: not a geoserp dataset: {e}")),
+        })?;
     let options = analysis_options_from(args)?;
     Ok(geoserp_core::report::full_report_with_options(
         &dataset, None, &options,
@@ -525,7 +527,7 @@ pub fn cmd_report(args: &ParsedArgs) -> Result<String, CliError> {
         CliError::Invalid("report needs a metrics snapshot, dataset file, or host:port".into())
     })?;
     let json = if file.parse::<std::net::SocketAddr>().is_ok() {
-        String::from_utf8(http_get(file, "/metrics.json")?)
+        String::from_utf8(http_get(file, "/metrics.json", MAX_BODY_BYTES)?)
             .map_err(|e| CliError::Invalid(format!("{file}: /metrics.json not UTF-8: {e}")))?
     } else {
         std::fs::read_to_string(file)?
@@ -870,17 +872,27 @@ fn serve_blocking(
 /// one line per probe to `out`.
 fn smoke_probe(out: &mut String, addr: &str) -> Result<(), CliError> {
     for path in ["/healthz", "/metrics"] {
-        let body = http_get(addr, path)?;
+        let body = http_get(addr, path, MAX_BODY_BYTES)?;
         out.push_str(&format!("GET {path}: {} bytes\n", body.len()));
     }
     Ok(())
 }
 
+/// The largest response body `http_request` accepts by default.
+const MAX_BODY_BYTES: usize = 8 * 1024 * 1024;
+
+/// The largest `/spans` document `pull_spans` accepts: 1 KiB for each span
+/// a full default ring holds. Loadgen-driven serve spans render at about
+/// 286 bytes each (18,000 spans in 5,148,405 bytes after 3,000 requests),
+/// so a full ring, about 75 MB, fits with room to spare.
+const MAX_SPANS_BODY_BYTES: usize = geoserp_core::obs::DEFAULT_SPAN_CAPACITY * 1024;
+
 /// Minimal client for the smoke probe: one request, returns the body.
-fn http_get(addr: &str, path: &str) -> Result<Vec<u8>, CliError> {
+fn http_get(addr: &str, path: &str, max_body: usize) -> Result<Vec<u8>, CliError> {
     http_request(
         addr,
         &geoserp_core::net::Request::get(geoserp_core::engine::SEARCH_HOST, path),
+        max_body,
     )
 }
 
@@ -889,21 +901,23 @@ fn http_get(addr: &str, path: &str) -> Result<Vec<u8>, CliError> {
 fn trace_one_search(addr: &str) -> Result<(), CliError> {
     let req = geoserp_core::net::Request::get(geoserp_core::engine::SEARCH_HOST, "/search")
         .with_query("q", "Coffee");
-    http_request(addr, &req)?;
+    http_request(addr, &req, MAX_BODY_BYTES)?;
     std::thread::sleep(std::time::Duration::from_millis(150));
     Ok(())
 }
 
 /// Pull one process's `/spans` collector document.
 fn pull_spans(addr: &str) -> Result<geoserp_core::obs::ProcessSpans, CliError> {
-    let body = http_get(addr, "/spans")?;
-    let text = String::from_utf8(body)
-        .map_err(|e| CliError::Invalid(format!("{addr}/spans: not UTF-8: {e}")))?;
-    geoserp_core::obs::parse_process_spans(&text)
+    let body = http_get(addr, "/spans", MAX_SPANS_BODY_BYTES)?;
+    geoserp_core::obs::parse_process_spans(&body)
         .map_err(|e| CliError::Invalid(format!("{addr}/spans: {e}")))
 }
 
-fn http_request(addr: &str, req: &geoserp_core::net::Request) -> Result<Vec<u8>, CliError> {
+fn http_request(
+    addr: &str,
+    req: &geoserp_core::net::Request,
+    max_body: usize,
+) -> Result<Vec<u8>, CliError> {
     use geoserp_core::net::{encode_request, parse_response, WireLimits};
     use std::io::{Read, Write};
     let path = &req.path;
@@ -911,7 +925,7 @@ fn http_request(addr: &str, req: &geoserp_core::net::Request) -> Result<Vec<u8>,
     let mut stream = std::net::TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(std::time::Duration::from_secs(5)))?;
     stream.write_all(&wire)?;
-    let limits = WireLimits::new().max_body_bytes(8 * 1024 * 1024);
+    let limits = WireLimits::new().max_body_bytes(max_body);
     let mut buf = Vec::new();
     let mut chunk = [0u8; 4096];
     loop {
@@ -1013,9 +1027,9 @@ pub fn cmd_trace(args: &ParsedArgs) -> Result<String, CliError> {
             return Err(CliError::Invalid(format!("{src}: no *.json span dumps")));
         }
         for f in &files {
-            let text = std::fs::read_to_string(f)?;
+            let doc = std::fs::read(f)?;
             docs.push(
-                geoserp_core::obs::parse_process_spans(&text)
+                geoserp_core::obs::parse_process_spans(&doc)
                     .map_err(|e| CliError::Invalid(format!("{}: {e}", f.display())))?,
             );
         }
@@ -1705,6 +1719,46 @@ mod tests {
         let err = cmd_trace(&p).unwrap_err();
         assert!(err.to_string().contains("span dumps"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn pull_spans_collects_a_full_span_ring() {
+        use geoserp_core::net::{Request, RequestCtx, Response};
+        use geoserp_core::obs::{ObsHub, SpanRecord, DEFAULT_SPAN_CAPACITY};
+        use geoserp_core::serve::{ServeConfig, SocketServer};
+        use std::sync::Arc;
+        // Fill the served hub's ring directly with serve-shaped spans.
+        let hub = Arc::new(ObsHub::new());
+        for i in 0..DEFAULT_SPAN_CAPACITY as u64 {
+            hub.spans().record(SpanRecord {
+                id: i + 1,
+                parent: i / 6 * 6,
+                name: std::borrow::Cow::Borrowed("stage render"),
+                cat: "serve.stage",
+                tid: 0,
+                start_ms: i,
+                dur_ms: 1,
+                args: Vec::new(),
+                wall_us: Some(40),
+            });
+        }
+        let service = Arc::new(|_: &RequestCtx, _: &Request| Response::ok("ok"));
+        let server = SocketServer::start_service(
+            "127.0.0.1:0",
+            service,
+            Arc::clone(&hub),
+            "10.0.0.1".parse().unwrap(),
+            ServeConfig::new(),
+        )
+        .unwrap();
+        let pulled = pull_spans(&server.local_addr().to_string());
+        server.shutdown();
+        let pulled = pulled.unwrap();
+        assert_eq!(pulled.spans.len(), DEFAULT_SPAN_CAPACITY);
+        assert_eq!(
+            pulled.spans.last().unwrap().id,
+            DEFAULT_SPAN_CAPACITY as u64
+        );
     }
 
     #[test]

@@ -11,9 +11,11 @@
 //! the compatibility rules that make that true.
 //!
 //! Checkpoint files are streamed to `<path>.tmp` and renamed into place, so
-//! a crash mid-write leaves the previous checkpoint intact; a truncated or
-//! hand-edited file is reported as a clean [`CheckpointError`], never a
-//! panic.
+//! a crash mid-write leaves the previous checkpoint intact. Loading streams
+//! the other way: the file is read through one 64 KiB buffer straight into
+//! the checkpoint's fields, with no copy of the text and no value tree, so
+//! a load peaks near the size of what it keeps. A truncated or hand-edited
+//! file is reported as a clean [`CheckpointError`], never a panic.
 
 use crate::dataset::{json_digest, Dataset};
 use serde::{Deserialize, Serialize};
@@ -107,8 +109,17 @@ impl CrawlCheckpoint {
     /// names a location outside its vantage points or a URL id outside its
     /// table, is a clean error.
     pub fn from_json(s: &str) -> Result<Self, CheckpointError> {
-        let mut ckpt: CrawlCheckpoint =
-            serde_json::from_str(s).map_err(|e| CheckpointError::Parse(e.to_string()))?;
+        Self::checked(serde_json::from_str(s))
+    }
+
+    /// Validate a freshly read checkpoint: a read error keeps its kind
+    /// (I/O or parse), then the layout version, the round counts and the
+    /// dataset are checked and the URL index is rebuilt.
+    fn checked(read: Result<Self, serde_json::Error>) -> Result<Self, CheckpointError> {
+        let mut ckpt = read.map_err(|e| match e.classify() {
+            serde_json::Category::Io => CheckpointError::Io(e.into()),
+            _ => CheckpointError::Parse(e.to_string()),
+        })?;
         if ckpt.version != CHECKPOINT_VERSION {
             return Err(CheckpointError::Mismatch(format!(
                 "checkpoint version {} (this build reads version {CHECKPOINT_VERSION})",
@@ -149,10 +160,10 @@ impl CrawlCheckpoint {
         Ok(())
     }
 
-    /// Load a checkpoint file written by [`CrawlCheckpoint::save`].
+    /// Load a checkpoint file written by [`CrawlCheckpoint::save`],
+    /// streaming it through one 64 KiB buffer.
     pub fn load(path: &Path) -> Result<Self, CheckpointError> {
-        let json = std::fs::read_to_string(path)?;
-        Self::from_json(&json)
+        Self::checked(serde_json::from_reader(File::open(path)?))
     }
 }
 

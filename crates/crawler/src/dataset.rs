@@ -375,7 +375,16 @@ impl Dataset {
     /// observations name a location outside its vantage points, or a URL id
     /// outside its table, is an error.
     pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
-        let mut d: Dataset = serde_json::from_str(s)?;
+        Self::checked(serde_json::from_str(s)?)
+    }
+
+    /// [`Dataset::from_json`] over a reader (a saved dataset file),
+    /// streamed through one 64 KiB buffer.
+    pub fn from_reader(reader: impl std::io::Read) -> Result<Self, serde_json::Error> {
+        Self::checked(serde_json::from_reader(reader)?)
+    }
+
+    fn checked(mut d: Dataset) -> Result<Self, serde_json::Error> {
         d.validate().map_err(serde_json::Error::custom)?;
         d.rebuild_index();
         Ok(d)

@@ -408,12 +408,13 @@ pub fn process_spans_json(process: &str, spans: &[SpanRecord]) -> String {
         .expect("process spans serialize")
 }
 
-/// Parse a `/spans` document (or a dumped spans file).
+/// Parse a `/spans` document (or a dumped spans file), reading its bytes
+/// in place.
 ///
 /// # Errors
 /// A description of the JSON or shape mismatch.
-pub fn parse_process_spans(s: &str) -> Result<ProcessSpans, String> {
-    serde_json::from_str(s).map_err(|e| format!("invalid process spans: {e:?}"))
+pub fn parse_process_spans(doc: &[u8]) -> Result<ProcessSpans, String> {
+    serde_json::from_slice(doc).map_err(|e| format!("invalid process spans: {e:?}"))
 }
 
 /// Nesting depth via the parent chain across every process (missing or
@@ -609,12 +610,12 @@ mod tests {
             !json.contains("wall"),
             "wall timing must not cross the wire"
         );
-        let parsed = parse_process_spans(&json).unwrap();
+        let parsed = parse_process_spans(json.as_bytes()).unwrap();
         assert_eq!(parsed.process, "router");
         assert_eq!(parsed.spans.len(), 1);
         assert_eq!(parsed.spans[0].name, "merge");
         assert_eq!(parsed.spans[0].args[0], ("trace".into(), ctx.trace_hex()));
-        assert!(parse_process_spans("{not json").is_err());
+        assert!(parse_process_spans(b"{not json").is_err());
     }
 
     #[test]
@@ -666,15 +667,13 @@ mod tests {
             Some(7),
         );
 
-        let router = parse_process_spans(&process_spans_json(
-            "router",
-            &router_hub.spans().snapshot(),
-        ))
+        let router = parse_process_spans(
+            process_spans_json("router", &router_hub.spans().snapshot()).as_bytes(),
+        )
         .unwrap();
-        let shard = parse_process_spans(&process_spans_json(
-            "shard0.r1",
-            &shard_hub.spans().snapshot(),
-        ))
+        let shard = parse_process_spans(
+            process_spans_json("shard0.r1", &shard_hub.spans().snapshot()).as_bytes(),
+        )
         .unwrap();
 
         let a = assemble_chrome_trace(&[router.clone(), shard.clone()]);

@@ -124,10 +124,10 @@ pub fn suggest_request(r: &ShardSuggestRequest) -> Request {
     post_json(SHARD_SUGGEST_PATH, r)
 }
 
-/// Decode a JSON request body (shard messages are always UTF-8 JSON).
+/// Decode a JSON message body in place: straight into `T`, checking
+/// UTF-8 only inside strings, with no copy and no per-call buffer.
 pub(crate) fn parse_body<T: serde::Deserialize>(body: &[u8]) -> Result<T, String> {
-    let text = std::str::from_utf8(body).map_err(|e| e.to_string())?;
-    serde_json::from_str(text).map_err(|e| e.to_string())
+    serde_json::from_slice(body).map_err(|e| e.to_string())
 }
 
 fn post_json<T: Serialize>(path: &str, body: &T) -> Request {
@@ -218,10 +218,18 @@ mod tests {
             query: "x".into(),
             max_partials: 1,
         });
-        req.body = Bytes::from_static(b"{not json");
-        let resp = svc.handle(&ctx(), &req);
-        assert_eq!(resp.status, Status::BadRequest);
-        assert!(resp.header("X-Shard-Error").is_some());
+        // Garbage, and nesting deep enough to overflow a recursive parser's
+        // stack while still inside the default 1 MiB body limit.
+        for body in [
+            b"{not json".to_vec(),
+            vec![b'['; 200_000],
+            br#"{"a":"#.repeat(200_000),
+        ] {
+            req.body = Bytes::from(body);
+            let resp = svc.handle(&ctx(), &req);
+            assert_eq!(resp.status, Status::BadRequest);
+            assert!(resp.header("X-Shard-Error").is_some());
+        }
     }
 
     #[test]

@@ -230,3 +230,77 @@ fn a_checkpoint_round_trips_through_disk_before_resume() {
     let resumed = crawler(5, 0.10, 0.05).resume(restored, &plan).unwrap();
     assert_eq!(resumed.to_json(), reference);
 }
+
+/// The quick-crawl fixture killed at round 9, as `save` writes it: the
+/// document the read-contract property damages.
+fn quick_checkpoint_json() -> &'static [u8] {
+    static JSON: std::sync::OnceLock<String> = std::sync::OnceLock::new();
+    JSON.get_or_init(|| {
+        let last: RefCell<Option<CrawlCheckpoint>> = RefCell::new(None);
+        let sink = |c: &CrawlCheckpoint| *last.borrow_mut() = Some(c.clone());
+        let opts = CrawlOptions::new(CrawlBackend::Serial)
+            .checkpoint_every(9)
+            .on_checkpoint(&sink)
+            .stop_after_rounds(9);
+        crawler(2015, 0.10, 0.05)
+            .run_with_options(&quick_plan(), opts, |_| {})
+            .unwrap();
+        last.into_inner().unwrap().to_json()
+    })
+    .as_bytes()
+}
+
+/// What a load made of a document: a typed refusal, or a checkpoint's
+/// digest.
+#[derive(Debug, PartialEq)]
+enum Read {
+    Parse,
+    Mismatch,
+    Loaded(u64),
+}
+
+/// Load `doc` from a file (the streamed path) and, when it is UTF-8, from
+/// a string; the two must agree. A load re-saves to the digest it loaded.
+fn read_every_way(doc: &[u8], path: &std::path::Path) -> Read {
+    use geoserp::crawler::CheckpointError;
+    let read = |r: Result<CrawlCheckpoint, CheckpointError>| match r {
+        Ok(c) => {
+            let again = CrawlCheckpoint::from_json(&c.to_json()).unwrap();
+            assert_eq!(again.digest(), c.digest(), "a load re-saves to its digest");
+            Read::Loaded(c.digest())
+        }
+        Err(CheckpointError::Parse(_)) => Read::Parse,
+        Err(CheckpointError::Mismatch(_)) => Read::Mismatch,
+        Err(CheckpointError::Io(e)) => panic!("a document on disk read as an I/O error: {e}"),
+    };
+    std::fs::write(path, doc).unwrap();
+    let streamed = read(CrawlCheckpoint::load(path));
+    if let Ok(text) = std::str::from_utf8(doc) {
+        assert_eq!(read(CrawlCheckpoint::from_json(text)), streamed);
+    }
+    streamed
+}
+
+proptest! {
+    /// Every cut of a checkpoint is a `Parse` error; every flipped bit is
+    /// a `Parse` or `Mismatch` error or a load, the same on every read
+    /// path — never a panic.
+    #[test]
+    fn damaged_checkpoints_read_as_typed_errors_or_equal_loads(
+        at in 0usize..1 << 40,
+        bit in 0u8..8,
+    ) {
+        let json = quick_checkpoint_json();
+        let path = std::env::temp_dir().join(format!(
+            "geoserp-damaged-ck-{}-{:?}.json",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let at = at % json.len();
+        prop_assert_eq!(read_every_way(&json[..at], &path), Read::Parse, "cut at {}", at);
+        let mut flipped = json.to_vec();
+        flipped[at] ^= 1 << bit;
+        read_every_way(&flipped, &path);
+        std::fs::remove_file(&path).ok();
+    }
+}

@@ -85,7 +85,7 @@ fn single_process_trace() -> (String, Vec<Response>) {
     settle(0);
     let doc = request_tcp(server.local_addr(), &Request::get(SEARCH_HOST, "/spans"));
     server.shutdown();
-    let parsed = parse_process_spans(&doc.body_text()).expect("/spans is a process-spans doc");
+    let parsed = parse_process_spans(&doc.body).expect("/spans is a process-spans doc");
     assert_eq!(parsed.process, "serve", "default process name");
     (assemble_chrome_trace(&[parsed]), pages)
 }
@@ -208,7 +208,7 @@ fn tracing_off_serves_byte_identical_pages_and_an_empty_span_log() {
         settle(0);
         let spans = request_tcp(server.local_addr(), &Request::get(SEARCH_HOST, "/spans"));
         server.shutdown();
-        let spans = parse_process_spans(&spans.body_text()).unwrap().spans.len();
+        let spans = parse_process_spans(&spans.body).unwrap().spans.len();
         (pages, spans as u64)
     };
     let routed = |tracing: bool| {
