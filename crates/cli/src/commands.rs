@@ -1724,12 +1724,14 @@ mod tests {
     #[test]
     fn pull_spans_collects_a_full_span_ring() {
         use geoserp_core::net::{Request, RequestCtx, Response};
-        use geoserp_core::obs::{ObsHub, SpanRecord, DEFAULT_SPAN_CAPACITY};
+        use geoserp_core::obs::{MetricsSnapshot, ObsHub, SpanRecord, DEFAULT_SPAN_CAPACITY};
         use geoserp_core::serve::{ServeConfig, SocketServer};
         use std::sync::Arc;
-        // Fill the served hub's ring directly with serve-shaped spans.
+        // Fill the served hub's ring directly with serve-shaped spans, 10
+        // past its capacity.
         let hub = Arc::new(ObsHub::new());
-        for i in 0..DEFAULT_SPAN_CAPACITY as u64 {
+        let recorded = DEFAULT_SPAN_CAPACITY as u64 + 10;
+        for i in 0..recorded {
             hub.spans().record(SpanRecord {
                 id: i + 1,
                 parent: i / 6 * 6,
@@ -1751,14 +1753,17 @@ mod tests {
             ServeConfig::new(),
         )
         .unwrap();
-        let pulled = pull_spans(&server.local_addr().to_string());
+        let addr = server.local_addr().to_string();
+        let pulled = pull_spans(&addr);
+        let metrics = http_get(&addr, "/metrics.json", MAX_BODY_BYTES);
         server.shutdown();
         let pulled = pulled.unwrap();
         assert_eq!(pulled.spans.len(), DEFAULT_SPAN_CAPACITY);
-        assert_eq!(
-            pulled.spans.last().unwrap().id,
-            DEFAULT_SPAN_CAPACITY as u64
-        );
+        assert_eq!(pulled.spans.last().unwrap().id, recorded);
+        // The metrics say how many of the oldest spans the ring dropped.
+        let metrics = String::from_utf8(metrics.unwrap()).unwrap();
+        let snap = MetricsSnapshot::from_json(&metrics).unwrap();
+        assert_eq!(snap.counters.get("obs.spans_dropped"), Some(&10));
     }
 
     #[test]

@@ -23,18 +23,6 @@ fn timed<T>(obs: Option<&ObsHub>, name: &str, f: impl FnOnce() -> T) -> T {
     out
 }
 
-/// Render all of §3's figures for a dataset into one plain-text report,
-/// using the default analysis options ([`geoserp_analysis::Workers::Auto`]).
-pub fn full_report(dataset: &Dataset) -> String {
-    full_report_with_options(dataset, None, &AnalysisOptions::default())
-}
-
-/// Like [`full_report`], but additionally records per-figure compute time
-/// into `analysis.*` gauges on the given observability hub.
-pub fn full_report_with_obs(dataset: &Dataset, obs: Option<&ObsHub>) -> String {
-    full_report_with_options(dataset, obs, &AnalysisOptions::default())
-}
-
 /// One report section: the fixed header line plus a closure producing the
 /// section body. The closures fan out over the index's worker pool and the
 /// rendered strings are stitched back together in declaration order, so the

@@ -166,8 +166,7 @@ impl Study {
     }
 
     /// Like [`Study::report`], recording per-figure compute time into
-    /// `analysis.*` gauges on the given hub (see
-    /// [`crate::report::full_report_with_obs`]).
+    /// `analysis.*` gauges on the given hub.
     pub fn report_with_obs(&self, dataset: &Dataset, obs: &geoserp_obs::ObsHub) -> String {
         crate::report::full_report_with_options(dataset, Some(obs), &self.analysis)
     }

@@ -214,11 +214,6 @@ impl Dataset {
         &self.observations
     }
 
-    /// Observations matching a predicate.
-    pub fn select(&self, pred: impl Fn(&Observation) -> bool) -> Vec<&Observation> {
-        self.observations.iter().filter(|o| pred(o)).collect()
-    }
-
     /// The (treatment, control) pair for one cell, if both were collected.
     pub fn pair(
         &self,

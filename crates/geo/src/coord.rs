@@ -82,15 +82,6 @@ impl Coord {
         Coord::new(lat2.to_degrees(), lon2.to_degrees())
     }
 
-    /// Geographic midpoint (arithmetic on the sphere is fine at these scales;
-    /// used only for synthetic layout, not analysis).
-    pub fn midpoint(self, other: Coord) -> Coord {
-        Coord::new(
-            (self.lat_deg + other.lat_deg) / 2.0,
-            (self.lon_deg + other.lon_deg) / 2.0,
-        )
-    }
-
     /// Render as the `lat,lon` string format passed to the browser's
     /// Geolocation override (6 decimal places ≈ 0.1 m, matching GPS fixes).
     pub fn to_gps_string(self) -> String {

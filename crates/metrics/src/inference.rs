@@ -9,9 +9,7 @@
 //!   sample B beyond what label-shuffling explains? Used to test
 //!   *personalization > noise* per (category, granularity) cell;
 //! * [`bootstrap_mean_ci`] — percentile bootstrap confidence interval for a
-//!   mean (error bars with distribution-free coverage);
-//! * [`kendall_tau`] — rank agreement between two orderings (used by the
-//!   ablation analyses to compare per-term orderings across configurations).
+//!   mean (error bars with distribution-free coverage).
 //!
 //! All resampling is seeded ([`geoserp_geo::Seed`]) — inference is as
 //! reproducible as the measurements.
@@ -132,45 +130,6 @@ pub fn bootstrap_mean_ci(
     })
 }
 
-/// Kendall's τ-b rank correlation between paired samples (tie-corrected).
-///
-/// Returns `None` when fewer than two pairs, or when either side is
-/// constant (τ undefined).
-pub fn kendall_tau(xs: &[f64], ys: &[f64]) -> Option<f64> {
-    assert_eq!(xs.len(), ys.len(), "paired samples must have equal length");
-    let n = xs.len();
-    if n < 2 {
-        return None;
-    }
-    let mut concordant = 0i64;
-    let mut discordant = 0i64;
-    let mut ties_x = 0i64;
-    let mut ties_y = 0i64;
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let dx = xs[i] - xs[j];
-            let dy = ys[i] - ys[j];
-            if dx == 0.0 && dy == 0.0 {
-                // tied on both: counted in neither denominator term
-            } else if dx == 0.0 {
-                ties_x += 1;
-            } else if dy == 0.0 {
-                ties_y += 1;
-            } else if dx * dy > 0.0 {
-                concordant += 1;
-            } else {
-                discordant += 1;
-            }
-        }
-    }
-    let n0 = (n * (n - 1) / 2) as i64;
-    let denom = (((n0 - ties_x) as f64) * ((n0 - ties_y) as f64)).sqrt();
-    if denom == 0.0 {
-        return None;
-    }
-    Some((concordant - discordant) as f64 / denom)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -260,30 +219,5 @@ mod tests {
     #[should_panic(expected = "level")]
     fn bootstrap_rejects_silly_level() {
         bootstrap_mean_ci(&[1.0, 2.0], 0.3, 100, seed());
-    }
-
-    #[test]
-    fn kendall_perfect_orderings() {
-        let xs = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let inc: Vec<f64> = xs.iter().map(|x| x * 10.0).collect();
-        let dec: Vec<f64> = xs.iter().map(|x| -x).collect();
-        assert!((kendall_tau(&xs, &inc).unwrap() - 1.0).abs() < 1e-12);
-        assert!((kendall_tau(&xs, &dec).unwrap() + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn kendall_handles_ties_and_degenerate_inputs() {
-        assert_eq!(kendall_tau(&[1.0], &[1.0]), None);
-        assert_eq!(kendall_tau(&[2.0, 2.0, 2.0], &[1.0, 2.0, 3.0]), None);
-        let t = kendall_tau(&[1.0, 1.0, 2.0, 3.0], &[1.0, 2.0, 2.0, 3.0]).unwrap();
-        assert!((0.0..=1.0).contains(&t));
-    }
-
-    #[test]
-    fn kendall_zero_for_independent_pattern() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        let ys = [1.0, -1.0, -1.0, 1.0];
-        let t = kendall_tau(&xs, &ys).unwrap();
-        assert!(t.abs() < 0.5, "{t}");
     }
 }

@@ -29,9 +29,7 @@ pub use compare::{
     attribution, attribution_by, edit_distance, jaccard, levenshtein, MultiTypeBreakdown,
     PageComparison, TypeBreakdown,
 };
-pub use inference::{
-    bootstrap_mean_ci, kendall_tau, permutation_test, ConfidenceInterval, PermutationTest,
-};
+pub use inference::{bootstrap_mean_ci, permutation_test, ConfidenceInterval, PermutationTest};
 pub use stats::{mean, pearson, spearman, stddev, Summary};
 
 #[cfg(test)]

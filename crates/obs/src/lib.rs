@@ -55,12 +55,12 @@ pub struct ObsHub {
 }
 
 impl ObsHub {
-    /// A fully-enabled hub (the default for crawls).
+    /// A fully-enabled hub (the default for crawls). Its registry counts
+    /// the spans the full ring evicts in `obs.spans_dropped`.
     pub fn new() -> Self {
-        Self {
-            metrics: MetricsRegistry::new(),
-            spans: SpanLog::new(DEFAULT_SPAN_CAPACITY),
-        }
+        let metrics = MetricsRegistry::new();
+        let spans = SpanLog::new(DEFAULT_SPAN_CAPACITY, metrics.counter("obs.spans_dropped"));
+        Self { metrics, spans }
     }
 
     /// A no-op hub: every handle it hands out discards writes. For callers

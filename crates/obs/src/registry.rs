@@ -66,7 +66,7 @@ struct CounterCell {
 pub struct Counter(Arc<CounterCell>);
 
 impl Counter {
-    fn new(enabled: bool) -> Self {
+    pub(crate) fn new(enabled: bool) -> Self {
         Self(Arc::new(CounterCell {
             enabled,
             value: AtomicU64::new(0),
@@ -595,6 +595,12 @@ mod tests {
         let reg = MetricsRegistry::new();
         reg.counter("crawler.jobs").add(108);
         reg.histogram("net.rtt_ms").observe(40);
+        // `Gauge::add` wraps, so a gauge can read either extreme.
+        let low = reg.gauge("pool.low");
+        low.set(i64::MAX);
+        low.add(1);
+        assert_eq!(low.get(), i64::MIN);
+        reg.gauge("pool.high").set(i64::MAX);
         let snap = reg.snapshot();
         let back = MetricsSnapshot::from_json(&snap.to_json()).unwrap();
         assert_eq!(snap, back);

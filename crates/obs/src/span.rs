@@ -16,6 +16,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
+use crate::Counter;
+
 /// A finished span. All timestamps are virtual-clock milliseconds; the only
 /// host-time field is the clearly-marked optional [`SpanRecord::wall_us`],
 /// which exporters exclude from deterministic output.
@@ -57,24 +59,30 @@ struct SpanBuf {
 /// Bounded ring buffer of completed spans plus an ID allocator.
 ///
 /// The buffer and its total-recorded count live under a single mutex so a
-/// snapshot always observes a consistent pair.
+/// snapshot always observes a consistent pair. Each span the full ring
+/// evicts counts in `dropped` ([`crate::ObsHub`] registers it as
+/// `obs.spans_dropped`), so a `/spans` document that lost its oldest spans
+/// says so through the metrics.
 #[derive(Debug)]
 pub struct SpanLog {
     enabled: bool,
     capacity: usize,
     next_id: AtomicU64,
     buf: Mutex<SpanBuf>,
+    dropped: Counter,
 }
 
 impl SpanLog {
-    /// An enabled log keeping at most `capacity` finished spans.
-    pub fn new(capacity: usize) -> Self {
+    /// An enabled log keeping at most `capacity` finished spans, counting
+    /// each one it evicts in `dropped`.
+    pub fn new(capacity: usize, dropped: Counter) -> Self {
         assert!(capacity > 0, "span log capacity must be positive");
         Self {
             enabled: true,
             capacity,
             next_id: AtomicU64::new(1),
             buf: Mutex::new(SpanBuf::default()),
+            dropped,
         }
     }
 
@@ -85,6 +93,7 @@ impl SpanLog {
             capacity: 1,
             next_id: AtomicU64::new(1),
             buf: Mutex::new(SpanBuf::default()),
+            dropped: Counter::new(false),
         }
     }
 
@@ -100,7 +109,8 @@ impl SpanLog {
         self.next_id.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Record a finished span, evicting the oldest if the ring is full.
+    /// Record a finished span, evicting (and counting) the oldest if the
+    /// ring is full.
     pub fn record(&self, span: SpanRecord) {
         if !self.enabled {
             return;
@@ -108,6 +118,7 @@ impl SpanLog {
         let mut buf = self.buf.lock();
         if buf.spans.len() == self.capacity {
             buf.spans.pop_front();
+            self.dropped.inc();
         }
         buf.spans.push_back(span);
         buf.total += 1;
@@ -127,6 +138,14 @@ impl SpanLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MetricsRegistry;
+
+    fn log(capacity: usize) -> SpanLog {
+        SpanLog::new(
+            capacity,
+            MetricsRegistry::new().counter("obs.spans_dropped"),
+        )
+    }
 
     fn span(id: u64, parent: u64, name: &str) -> SpanRecord {
         SpanRecord {
@@ -144,7 +163,7 @@ mod tests {
 
     #[test]
     fn records_in_order_and_counts_total() {
-        let log = SpanLog::new(8);
+        let log = log(8);
         for i in 0..3 {
             let id = log.alloc_id();
             log.record(span(id, 0, &format!("s{i}")));
@@ -158,7 +177,7 @@ mod tests {
 
     #[test]
     fn ring_evicts_oldest_but_total_keeps_counting() {
-        let log = SpanLog::new(2);
+        let log = log(2);
         for i in 1..=5u64 {
             log.record(span(i, 0, &format!("s{i}")));
         }
@@ -167,11 +186,12 @@ mod tests {
         assert_eq!(snap[0].name, "s4");
         assert_eq!(snap[1].name, "s5");
         assert_eq!(log.total_recorded(), 5);
+        assert_eq!(log.dropped.get(), 3);
     }
 
     #[test]
     fn ids_are_unique_across_threads() {
-        let log = SpanLog::new(1024);
+        let log = log(1024);
         let mut ids: Vec<u64> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..4)
                 .map(|_| s.spawn(|| (0..100).map(|_| log.alloc_id()).collect::<Vec<_>>()))
@@ -189,6 +209,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_rejected() {
-        let _ = SpanLog::new(0);
+        let _ = log(0);
     }
 }

@@ -114,11 +114,6 @@ impl CardType {
             .expect("builtin registry covers every card type")
     }
 
-    /// The result type of links extracted from this card.
-    pub fn result_type(self) -> ResultType {
-        self.builtin_spec().rtype
-    }
-
     /// The `type="…"` attribute value this card renders with.
     pub fn wire_name(self) -> &'static str {
         self.builtin_spec().wire_name

@@ -10,10 +10,13 @@
 //! across the loops via lock-guarded inboxes plus an eventfd [`Waker`] per
 //! loop.
 //!
-//! Each loop owns its connections outright: a [`Slab`] keyed by epoll
-//! token, a [`BufferPool`] so the steady-state hot path allocates nothing,
-//! and a hashed [`TimerWheel`] driving keep-alive idle timeouts and write
-//! deadlines (lazy cancellation by per-connection generation).
+//! Each loop owns its connections outright, in a [`Slab`] keyed by epoll
+//! token; each connection owns its read and write buffers and drops them
+//! on close. A connection has one deadline at a time — its keep-alive
+//! idle / read deadline, or its write deadline while a flush is pending —
+//! kept in the connection and in the loop's `(deadline_ms, key)` set, one
+//! entry per connection. The loop sleeps until the first entry and closes
+//! every connection whose deadline has passed.
 //!
 //! A connection is a small state machine (`pump`): parse every complete
 //! request buffered (the incremental [`parse_request`] handles pipelining),
@@ -34,15 +37,15 @@
 //! bytes finish flushing under their write deadline, and each loop exits
 //! once its slab is empty.
 
-use crate::bufpool::{BufferPool, Slab};
 use crate::server::{encode_or_bare, ipv6_reject_response, shed_response, Shared};
-use crate::timer::{TimerEntry, TimerWheel};
+use crate::slab::Slab;
 use geoserp_net::{parse_request, Response, Status};
 use geoserp_obs::trace::{self, Stage, TraceContext};
 use mio::event::Source;
 use mio::net::{TcpListener, TcpStream};
 use mio::{Events, Interest, Poll, Token, Waker};
 use parking_lot::Mutex;
+use std::collections::BTreeSet;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{IpAddr, Ipv4Addr};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -54,10 +57,6 @@ use std::time::{Duration, Instant};
 const WAKER_KEY: usize = usize::MAX;
 /// Token the listener (loop 0 only) fires with.
 const LISTENER_KEY: usize = usize::MAX - 1;
-/// Timer wheel granularity. Deadlines land within one tick.
-const TICK_MS: u64 = 25;
-/// Timer wheel slots (25 ms × 256 = one rotation per 6.4 s).
-const WHEEL_SLOTS: usize = 256;
 /// Stack chunk size for draining a readable socket.
 const READ_CHUNK: usize = 16 * 1024;
 /// Soft cap on buffered request bytes before the pump interleaves
@@ -66,10 +65,6 @@ const READ_CHUNK: usize = 16 * 1024;
 /// request larger than the cap must keep reading (bounded by the wire
 /// limits) or the pump would livelock.
 const READ_SOFT_CAP: usize = 64 * 1024;
-/// Nominal pooled buffer capacity.
-const BUF_CAPACITY: usize = 8 * 1024;
-/// Idle buffers kept per loop.
-const MAX_POOLED: usize = 256;
 /// Events per poll call.
 const EVENTS_CAPACITY: usize = 256;
 
@@ -103,9 +98,10 @@ struct Conn {
     /// Queue-wait clock for the request in flight: the accept instant,
     /// reset each time a response is queued.
     ready: Instant,
-    /// Generation of the most recently armed timer (stale wheel entries
-    /// carry an older generation and are ignored).
-    gen: u64,
+    /// When the loop closes the connection: the idle / read deadline, or
+    /// the write deadline while a flush is pending. `(deadline_ms, key)`
+    /// is the connection's entry in [`EventLoop::deadlines`].
+    deadline_ms: u64,
     /// Close once `write_buf` drains (shutdown, `Connection: close`,
     /// keep-alive off, or a protocol error was answered).
     close_after_flush: bool,
@@ -197,8 +193,7 @@ pub(crate) fn start(
             shared: Arc::clone(&shared),
             poll,
             conns: Slab::new(),
-            wheel: TimerWheel::new(TICK_MS, WHEEL_SLOTS),
-            bufs: BufferPool::new(BUF_CAPACITY, MAX_POOLED),
+            deadlines: BTreeSet::new(),
             inbox,
             open: Arc::clone(&open),
             capacity,
@@ -209,7 +204,6 @@ pub(crate) fn start(
             },
             peers: Arc::clone(&injectors),
             next_peer: 0,
-            gen_counter: 0,
             draining: false,
         };
         handles.push(
@@ -226,8 +220,9 @@ struct EventLoop {
     shared: Arc<Shared>,
     poll: Poll,
     conns: Slab<Conn>,
-    wheel: TimerWheel,
-    bufs: BufferPool,
+    /// `(deadline_ms, key)`, one entry per connection in `conns`, soonest
+    /// first.
+    deadlines: BTreeSet<(u64, usize)>,
     inbox: Arc<Mutex<Vec<Handoff>>>,
     /// Connections currently admitted, across all loops.
     open: Arc<AtomicUsize>,
@@ -238,17 +233,19 @@ struct EventLoop {
     /// Every loop's injector, for round-robin distribution (loop 0 only).
     peers: Arc<Vec<Injector>>,
     next_peer: usize,
-    gen_counter: u64,
     draining: bool,
 }
 
 impl EventLoop {
     fn run(&mut self) {
         let mut events = Events::with_capacity(EVENTS_CAPACITY);
-        let mut expired: Vec<TimerEntry> = Vec::new();
         loop {
+            debug_assert_eq!(self.deadlines.len(), self.conns.len());
             let now = self.shared.now_ms();
-            let timeout = self.wheel.poll_timeout(now).map(Duration::from_millis);
+            let timeout = self
+                .deadlines
+                .first()
+                .map(|&(at, _)| Duration::from_millis(at.saturating_sub(now)));
             if self.poll.poll(&mut events, timeout).is_err() {
                 // Persistent selector failure: nothing readiness-based can
                 // recover; bail out rather than spin.
@@ -281,15 +278,14 @@ impl EventLoop {
                 self.accept_all();
             }
             let now = self.shared.now_ms();
-            expired.clear();
-            self.wheel.expire(now, &mut expired);
-            for e in &expired {
-                let live = matches!(self.conns.get_mut(e.token), Some(c) if c.gen == e.gen);
-                if live {
-                    // Deadline passed (idle keep-alive, read stall, or a
-                    // write the peer refuses to drain): drop the connection.
-                    self.close(e.token);
+            while let Some(&(at, key)) = self.deadlines.first() {
+                if at > now {
+                    break;
                 }
+                // Deadline passed (idle keep-alive, read stall, or a write
+                // the peer refuses to drain): drop the connection.
+                self.deadlines.pop_first();
+                self.close(key);
             }
             if self.draining && self.conns.is_empty() {
                 break;
@@ -564,24 +560,23 @@ impl EventLoop {
             .reregister(&mut c.stream, Token(key), interest);
     }
 
-    /// Arm (really: re-arm — the old entry goes stale by generation) the
-    /// connection's single deadline.
+    /// Set the connection's one deadline `timeout_ms` from now, replacing
+    /// its entry in the deadline set.
     fn arm_deadline(&mut self, key: usize, timeout_ms: u64) {
-        self.gen_counter += 1;
-        let gen = self.gen_counter;
-        let now = self.shared.now_ms();
+        let at = self.shared.now_ms() + timeout_ms.max(1);
         let Some(c) = self.conns.get_mut(key) else {
             return;
         };
-        c.gen = gen;
-        self.wheel.insert(now + timeout_ms.max(1), key, gen);
+        self.deadlines.remove(&(c.deadline_ms, key));
+        c.deadline_ms = at;
+        self.deadlines.insert((at, key));
     }
 
+    /// Drop the connection, its buffers and its deadline entry.
     fn close(&mut self, key: usize) {
         if let Some(mut conn) = self.conns.remove(key) {
+            self.deadlines.remove(&(conn.deadline_ms, key));
             let _ = conn.stream.deregister(self.poll.registry());
-            self.bufs.put(conn.read_buf);
-            self.bufs.put(conn.write_buf);
             self.open.fetch_sub(1, Ordering::SeqCst);
         }
     }
@@ -640,24 +635,25 @@ impl EventLoop {
         }
     }
 
-    /// Take ownership of an admitted connection: register, arm the read
-    /// deadline, and pump once (the socket may already hold a request).
+    /// Take ownership of an admitted connection: arm the read deadline,
+    /// register, and pump once (the socket may already hold a request).
     fn adopt(&mut self, stream: TcpStream, src: Ipv4Addr, accepted: Instant) {
         let _ = stream.set_nodelay(true);
         let conn = Conn {
             stream,
             src,
-            read_buf: self.bufs.get(),
-            write_buf: self.bufs.get(),
+            read_buf: Vec::new(),
+            write_buf: Vec::new(),
             written: 0,
             resp_ends: Vec::new(),
             ready: accepted,
-            gen: 0,
+            deadline_ms: 0,
             close_after_flush: false,
             wants_writable: false,
             eof: false,
         };
         let key = self.conns.insert(conn);
+        self.arm_deadline(key, self.shared.config.read_timeout_ms);
         let registered = {
             let c = self.conns.get_mut(key).expect("just inserted");
             self.poll
@@ -666,14 +662,9 @@ impl EventLoop {
                 .is_ok()
         };
         if !registered {
-            if let Some(c) = self.conns.remove(key) {
-                self.bufs.put(c.read_buf);
-                self.bufs.put(c.write_buf);
-            }
-            self.open.fetch_sub(1, Ordering::SeqCst);
+            self.close(key);
             return;
         }
-        self.arm_deadline(key, self.shared.config.read_timeout_ms);
         self.pump(key);
     }
 

@@ -4,12 +4,13 @@
 //! Everything else in geoserp runs against the in-process simulated network
 //! ([`geoserp_net::SimNet`]). This crate puts the *same* [`SearchService`]
 //! behind real TCP sockets, served by a readiness-based **epoll event
-//! loop** (nonblocking state machines, pooled buffers, a hashed timer wheel
-//! for idle/write deadlines). It provides keep-alive, read/write timeouts,
-//! request-size limits, a serve-layer per-IP rate limiter, `503`
-//! load-shedding at the admission bound, and graceful shutdown that drains
-//! in-flight connections. `/healthz` answers liveness probes and `/metrics`
-//! exposes the shared [`geoserp_obs::ObsHub`] in Prometheus text format.
+//! loop** (nonblocking state machines, each connection's idle or write
+//! deadline kept in the loop's ordered deadline set). It provides
+//! keep-alive, read/write timeouts, request-size limits, a serve-layer
+//! per-IP rate limiter, `503` load-shedding at the admission bound, and
+//! graceful shutdown that drains in-flight connections. `/healthz`
+//! answers liveness probes and `/metrics` exposes the shared
+//! [`geoserp_obs::ObsHub`] in Prometheus text format.
 //!
 //! Both transports speak the `geoserp-net` wire codec, and the socket layer
 //! reconstructs the simulator's request context (sequence numbers, virtual
@@ -47,13 +48,12 @@
 //! server.shutdown();
 //! ```
 
-pub mod bufpool;
 mod epoll;
 pub mod loadgen;
 pub mod router;
 pub mod server;
 pub mod shard;
-pub mod timer;
+mod slab;
 pub mod topology;
 
 pub use loadgen::{LoadgenConfig, LoadgenReport};

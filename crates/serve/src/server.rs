@@ -2,8 +2,8 @@
 //! the `geoserp-net` wire codec on a readiness-based event loop (see
 //! [`crate::epoll`]): `workers` reactor threads, nonblocking
 //! accept/read/write state machines driven by the incremental
-//! [`parse_request`](geoserp_net::parse_request), pooled buffers, and a
-//! hashed timer wheel for idle/write deadlines.
+//! [`parse_request`](geoserp_net::parse_request), and one idle or write
+//! deadline per connection.
 //!
 //! The server sheds load with `503` once `workers + queue_depth`
 //! connections are in flight (written off the accept path, so a stalled

@@ -13,7 +13,7 @@ use geoserp_serve::{
     loadgen, ClusterConfig, LoadgenConfig, LoadgenReport, ServeConfig, ServedWorld, ShardedCluster,
     SocketServer,
 };
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -533,6 +533,132 @@ fn epoll_drain_closes_idle_keepalive_connections_promptly() {
         let mut buf = [0u8; 16];
         assert_eq!(stream.read(&mut buf).unwrap_or(0), 0, "peer must see EOF");
     }
+}
+
+/// A keep-alive connection that goes idle after its response is closed at
+/// its read deadline: not before the timeout, and not long after it. The
+/// server counts whole milliseconds and arms the deadline after the
+/// request arrives, so the lower bound is taken from the send, less 1 ms.
+#[test]
+fn an_idle_keep_alive_connection_closes_at_its_read_deadline_epoll() {
+    let world = world();
+    let server = SocketServer::start(
+        "127.0.0.1:0",
+        &world,
+        ServeConfig::new().read_timeout_ms(300),
+    )
+    .unwrap();
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let sent = Instant::now();
+    stream
+        .write_all(&encode_request(&Request::get(SEARCH_HOST, "/healthz")).unwrap())
+        .unwrap();
+    let resp = read_response(&mut stream).expect("keep-alive reply");
+    assert_eq!(resp.status, Status::Ok);
+    let answered = Instant::now();
+
+    let mut buf = [0u8; 16];
+    let read = stream.read(&mut buf);
+    let closed = Instant::now();
+    assert!(matches!(read, Ok(0)), "the server must close: {read:?}");
+    let since_send = closed - sent;
+    let idle = closed - answered;
+    assert!(
+        since_send >= Duration::from_millis(299),
+        "closed {since_send:?} after the request, before the 300 ms deadline"
+    );
+    assert!(
+        idle < Duration::from_secs(1),
+        "closed {idle:?} after idling"
+    );
+    server.shutdown();
+}
+
+/// A client that pipelines requests and never reads stalls its flush: the
+/// write deadline closes it, and the one event loop serves another client
+/// meanwhile. The deaf client sees the close without reading: once the
+/// server has closed, the next bytes it sends draw a reset.
+#[test]
+fn a_client_that_never_reads_is_closed_at_its_write_deadline_epoll() {
+    let world = world();
+    let server = SocketServer::start(
+        "127.0.0.1:0",
+        &world,
+        ServeConfig::new()
+            .workers(1)
+            .write_timeout_ms(300)
+            .read_timeout_ms(30_000),
+    )
+    .unwrap();
+    let addr = server.local_addr();
+
+    // 4,000 responses of ~2.2 KB overflow any loopback buffering of a peer
+    // that reads nothing; the first 1,000 requests are sent before the
+    // other client connects, so the stall comes first.
+    let request = encode_request(&Request::get(SEARCH_HOST, "/metrics")).unwrap();
+    let deaf = TcpStream::connect(addr).unwrap();
+    deaf.set_write_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    let started = Instant::now();
+    let (first_sent, first_sent_rx) = std::sync::mpsc::channel();
+    let writer = {
+        let mut deaf = deaf.try_clone().unwrap();
+        std::thread::spawn(move || {
+            deaf.write_all(&request.repeat(1_000)).unwrap();
+            first_sent.send(()).unwrap();
+            deaf.write_all(&request.repeat(3_000))
+        })
+    };
+    first_sent_rx.recv().unwrap();
+
+    let mut other = TcpStream::connect(addr).unwrap();
+    other
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    other
+        .write_all(&encode_request(&Request::get(SEARCH_HOST, "/healthz")).unwrap())
+        .unwrap();
+    let resp = read_response(&mut other).expect("the other client is served");
+    assert_eq!(resp.status, Status::Ok);
+    let other_served = Instant::now();
+
+    // A writer still blocked at the close gets the reset itself; otherwise
+    // probe with one empty line every 5 ms.
+    let deaf_closed = match writer.join().unwrap() {
+        Err(e) => {
+            let reset = matches!(e.kind(), ErrorKind::ConnectionReset | ErrorKind::BrokenPipe);
+            assert!(reset, "the writer failed without a reset: {e}");
+            Instant::now()
+        }
+        Ok(()) => {
+            deaf.set_nonblocking(true).unwrap();
+            loop {
+                let probe = (&deaf).write(b"\r\n");
+                if matches!(probe, Err(e) if e.kind() != ErrorKind::WouldBlock) {
+                    break Instant::now();
+                }
+                assert!(
+                    started.elapsed() < Duration::from_secs(20),
+                    "the stalled client was never closed"
+                );
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        }
+    };
+    let since_start = deaf_closed - started;
+    let since_other = deaf_closed - other_served;
+    assert!(
+        since_start >= Duration::from_millis(299),
+        "closed {since_start:?} after it started writing, before its 300 ms deadline"
+    );
+    assert!(
+        since_other >= Duration::from_millis(200) && since_other < Duration::from_secs(1),
+        "closed {since_other:?} after the other client was served"
+    );
+    server.shutdown();
 }
 
 /// Every request of a loadgen run got a `200`, and the throughput counts
